@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -269,7 +270,11 @@ func BenchmarkCertifierThroughput(b *testing.B) {
 	defer db.Close()
 	b.ReportAllocs()
 	b.ResetTimer()
+	// Each goroutine writes its own key range: shared keys would make
+	// concurrent commits collide in certification.
+	var goroutines atomic.Int64
 	b.RunParallel(func(pb *testing.PB) {
+		g := goroutines.Add(1)
 		i := 0
 		for pb.Next() {
 			tx, err := db.Begin(0)
@@ -277,7 +282,7 @@ func BenchmarkCertifierThroughput(b *testing.B) {
 				b.Error(err)
 				return
 			}
-			key := fmt.Sprintf("c%06d", i)
+			key := fmt.Sprintf("c%d-%06d", g, i)
 			i++
 			if err := tx.Update("t", key, map[string][]byte{"v": []byte("x")}); err != nil {
 				b.Error(err)

@@ -23,9 +23,8 @@ func randRemotes(rng *rand.Rand) []RemoteWS {
 	out := make([]RemoteWS, n)
 	for i := range out {
 		out[i] = RemoteWS{
-			Version:  rng.Uint64(),
-			SafeBack: rng.Uint64(),
-			WSBytes:  randBytes(rng, 64),
+			Version: rng.Uint64(),
+			Data:    randBytes(rng, 64),
 		}
 	}
 	return out
@@ -62,7 +61,7 @@ func normRemotes(r []RemoteWS) []RemoteWS {
 	out := make([]RemoteWS, len(r))
 	for i := range r {
 		out[i] = r[i]
-		out[i].WSBytes = normWS(r[i].WSBytes)
+		out[i].Data = normWS(r[i].Data)
 	}
 	return out
 }
@@ -78,7 +77,6 @@ func TestCodecRoundTripFuzz(t *testing.T) {
 			StartVersion:   rng.Uint64(),
 			ReplicaVersion: rng.Uint64(),
 			WSBytes:        randBytes(rng, 256),
-			NeedSafeBack:   rng.Intn(2) == 0,
 			Deadline:       rng.Int63() - rng.Int63(),
 		}
 		got := roundTrip(t, req).(*Request)
@@ -91,8 +89,6 @@ func TestCodecRoundTripFuzz(t *testing.T) {
 			Committed:     rng.Intn(2) == 0,
 			CommitVersion: rng.Uint64(),
 			SystemVersion: rng.Uint64(),
-			ReplicaSeq:    rng.Uint64(),
-			SeqEpoch:      rng.Uint64(),
 			Remote:        randRemotes(rng),
 		}
 		gotR := roundTrip(t, resp).(*Response)
@@ -104,7 +100,6 @@ func TestCodecRoundTripFuzz(t *testing.T) {
 		pr := &PullRequest{
 			Origin:         rng.Intn(1 << 16),
 			ReplicaVersion: rng.Uint64(),
-			NeedSafeBack:   rng.Intn(2) == 0,
 			IncludeOwn:     rng.Intn(2) == 0,
 		}
 		if got := roundTrip(t, pr).(*PullRequest); !reflect.DeepEqual(pr, got) {
@@ -115,8 +110,6 @@ func TestCodecRoundTripFuzz(t *testing.T) {
 			Remote:        randRemotes(rng),
 			SystemVersion: rng.Uint64(),
 			Busy:          rng.Intn(2) == 0,
-			ReplicaSeq:    rng.Uint64(),
-			SeqEpoch:      rng.Uint64(),
 		}
 		gotP := roundTrip(t, presp).(*PullResponse)
 		presp.Remote, gotP.Remote = normRemotes(presp.Remote), normRemotes(gotP.Remote)
@@ -136,8 +129,6 @@ func TestCodecGobEquivalence(t *testing.T) {
 			Committed:     rng.Intn(2) == 0,
 			CommitVersion: rng.Uint64(),
 			SystemVersion: rng.Uint64(),
-			ReplicaSeq:    rng.Uint64(),
-			SeqEpoch:      rng.Uint64(),
 			Remote:        randRemotes(rng),
 		}
 		// Binary path.
@@ -171,7 +162,7 @@ func TestCodecGobEquivalence(t *testing.T) {
 // smaller than their gob form.
 func TestCodecBinarySmallerThanGob(t *testing.T) {
 	ws := bytes.Repeat([]byte{0xAB}, 120) // typical small writeset
-	req := &Request{Origin: 3, StartVersion: 1000, ReplicaVersion: 990, WSBytes: ws, NeedSafeBack: true}
+	req := &Request{Origin: 3, StartVersion: 1000, ReplicaVersion: 990, WSBytes: ws}
 	binB, err := transport.EncodeMessage(req)
 	if err != nil {
 		t.Fatal(err)
@@ -186,8 +177,8 @@ func TestCodecBinarySmallerThanGob(t *testing.T) {
 	t.Logf("Request: binary %dB vs gob %dB", len(binB), len(gobB))
 
 	resp := &PullResponse{SystemVersion: 1000, Remote: []RemoteWS{
-		{Version: 998, WSBytes: ws, SafeBack: 990},
-		{Version: 999, WSBytes: ws, SafeBack: 991},
+		{Version: 998, Data: ws},
+		{Version: 999, Data: ws},
 	}}
 	binB, err = transport.EncodeMessage(resp)
 	if err != nil {

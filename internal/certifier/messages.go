@@ -37,15 +37,13 @@ const (
 
 // Request is one certification request: the writeset and start version
 // of a committing update transaction (paper §6.1), plus the replica's
-// current version so the certifier knows which remote writesets to
-// ship back, and the Tashkent-API flag asking for conflict-free-back
-// ("safe back") information on those remote writesets (§5.2.1).
+// position in the group's log so the certifier knows which committed
+// entries to ship back.
 type Request struct {
 	Origin         int
 	StartVersion   uint64
 	ReplicaVersion uint64
 	WSBytes        []byte
-	NeedSafeBack   bool
 	// Deadline is the caller's context deadline in UnixNano (0 = none).
 	// The certifier drops the request before conflict-checking and
 	// proposing if the deadline has passed — a dead client's work must
@@ -64,64 +62,45 @@ func (r *Request) MustWriteset() *core.Writeset {
 	return ws
 }
 
-// RemoteWS is one remote writeset shipped to a replica.
+// RemoteWS is one committed log entry shipped to a replica: its log
+// index and raw payload (see DecodeLogEntry). Replicas merge whole
+// entries — kind, origin and 2PC metadata included — into their apply
+// order.
 type RemoteWS struct {
 	Version uint64
-	WSBytes []byte
-	// SafeBack is the version down to which this writeset is known to
-	// be conflict-free; if SafeBack <= the replica's version the proxy
-	// may apply it concurrently with its predecessors, otherwise an
-	// artificial conflict forces serialization (§5.2.1). Populated
-	// only when the request set NeedSafeBack.
-	SafeBack uint64
+	Data    []byte
 }
 
-// Response carries the certification outputs of paper §6.1: the remote
-// writesets, the decision, and the commit version.
+// Response carries the certification outputs of paper §6.1: the
+// committed entries the replica has not seen, the decision, and the
+// commit version.
 type Response struct {
 	Committed     bool
 	CommitVersion uint64
 	Remote        []RemoteWS
 	SystemVersion uint64 // committed system version at response time
-	// ReplicaSeq is a dense per-replica sequence number assigned in
-	// certifier processing order. The proxy applies responses in
-	// ReplicaSeq order, which guarantees it observes the global commit
-	// order even when transport reorders concurrent responses.
-	ReplicaSeq uint64
-	// SeqEpoch identifies the leadership term whose counter assigned
-	// ReplicaSeq. A new leader restarts the per-replica counters, so
-	// the proxy re-anchors its sequencer whenever the epoch advances
-	// and discards responses from deposed leaders.
-	SeqEpoch uint64
 }
 
-// PullRequest proactively fetches remote writesets (the staleness
+// PullRequest proactively fetches committed entries (the staleness
 // bound of §6.2: an idle replica asks for updates).
 type PullRequest struct {
 	Origin         int
 	ReplicaVersion uint64
-	NeedSafeBack   bool
 	// IncludeOwn disables the own-writeset filter. A recovering
 	// replica needs its own transactions back too — it lost them in
 	// the crash and the certifier log is their durable home (§7.2).
 	IncludeOwn bool
 }
 
-// PullResponse returns the requested remote writesets.
+// PullResponse returns the requested entries.
 type PullResponse struct {
 	Remote        []RemoteWS
 	SystemVersion uint64
 	// Busy reports whether the group had admitted-but-unresolved
 	// certifications (or prepares/resolves) when the pull was served:
-	// more log entries are imminent. A partitioned replica's merger
-	// uses it to fill only genuinely idle groups.
+	// more log entries are imminent. A replica's merger uses it to fill
+	// only genuinely idle groups.
 	Busy bool
-	// ReplicaSeq orders pull responses into the same per-replica
-	// application sequence as certification responses.
-	ReplicaSeq uint64
-	// SeqEpoch is the leadership term that assigned ReplicaSeq (see
-	// Response.SeqEpoch).
-	SeqEpoch uint64
 }
 
 // PrepareRequest is phase 1 of a cross-partition commit: certify and
@@ -258,8 +237,8 @@ func parseOverloaded(msg string) (retryAfter time.Duration, ok bool) {
 //	[ uint64 gid | uint16 nInvolved | uint16 pid ... ]   (2PC kinds only)
 //	writeset
 //
-// startVersion is retained so an engine rebuilt from the log keeps the
-// certified-back memos. Decision markers encode an empty writeset —
+// startVersion is retained so entries re-encoded from an engine rebuilt
+// from the log match the original payload. Decision markers encode an empty writeset —
 // the published items are recovered from the gid's prepare entry.
 
 // Entry is one decoded paxos log entry payload.
@@ -303,19 +282,18 @@ func EncodeEntry(e Entry) []byte {
 }
 
 // encodeEngineEntry re-encodes a retained engine log entry into the
-// wire payload format, for shipping raw entries to partitioned
-// replicas. Decision markers are encoded with an empty writeset even
+// wire payload format, for shipping raw entries to replicas. Decision markers are encoded with an empty writeset even
 // though the engine memoizes the published items on them.
 func encodeEngineEntry(e core.LogEntry) []byte {
 	ws := e.WS
 	if e.Kind == core.KindCommitMarker || e.Kind == core.KindAbortMarker {
 		ws = &core.Writeset{}
 	}
-	return encodeEntry(e.Kind, e.Origin, uint64(e.CertifiedBack), e.GID, e.Involved, ws)
+	return encodeEntry(e.Kind, e.Origin, uint64(e.Start), e.GID, e.Involved, ws)
 }
 
 // DecodeLogEntry decodes one paxos log entry's payload. The chaos
-// invariant checker and the partitioned replicas use it to turn
+// invariant checker and the replicas' assemblers use it to turn
 // committed log entries back into typed records.
 func DecodeLogEntry(data []byte) (Entry, error) {
 	return decodeEntryData(data)

@@ -23,8 +23,8 @@ import (
 //     the round via wal.AppendBatch, one fsync),
 //  4. takes ONE durability barrier (WaitCommitted on the batch's last
 //     index) for the whole batch, and
-//  5. fans responses — remote-writeset fills, replica sequence
-//     numbers, commit versions — back to all waiters.
+//  5. fans responses — committed-entry fills and commit versions —
+//     back to all waiters.
 //
 // Aborts and certification errors resolve at step 2; they never wait
 // for the disk.
@@ -263,10 +263,8 @@ func (s *Server) processBatch(batch []*certifyTask) {
 		wait := drainedAt.Sub(t.enqueued)
 		s.queueWait.Observe(wait)
 		// Deadline and queue-wait policing come before any certification
-		// work: a dead client's request must not conflict-check, consume
-		// a batch slot in the propose, or take a sequence number (it is
-		// resolved with an error below, so per-origin sequences stay
-		// dense).
+		// work: a dead client's request must not conflict-check or
+		// consume a batch slot in the propose.
 		if !t.deadline.IsZero() && drainedAt.After(t.deadline) {
 			s.expiredCount.Add(1)
 			t.err = errDeadlineExpired
@@ -301,7 +299,7 @@ func (s *Server) processBatch(batch []*certifyTask) {
 		version := uint64(s.engine.SystemVersion()) + 1
 		if err := s.engine.Append(core.LogEntry{
 			Version: core.Version(version), WS: t.ws, Origin: t.req.Origin,
-			CertifiedBack: core.Version(t.req.StartVersion),
+			Start: core.Version(t.req.StartVersion),
 		}); err != nil {
 			s.basisValid = false
 			t.err = err
@@ -334,13 +332,13 @@ func (s *Server) processBatch(batch []*certifyTask) {
 		}
 	}
 
-	// Responses are sequenced only now, in admission order: per-origin
-	// ReplicaSeq numbers must be consumed exclusively by responses that
-	// will actually be delivered, or a failed propose would leave
-	// permanent gaps in the old epoch and stall the proxy sequencers
-	// behind them. Commits doomed by a propose failure therefore take
-	// no sequence number (they fail with an error below); their abort
-	// siblings still respond with a dense sequence.
+	// Responses carry the committed entries the replica has not seen.
+	// A commit's fill stops below its own version: earlier commits of
+	// this same batch are included and will be durable by the time the
+	// response leaves (the batch barrier covers them). The origin's own
+	// entries are left out — each reaches its replica in its own
+	// response, and a replica whose response was lost pulls the entry
+	// when its merge stalls on the hole.
 	for _, t := range batch {
 		if t.err != nil {
 			continue
@@ -349,23 +347,11 @@ func (s *Server) processBatch(batch []*certifyTask) {
 			if proposeErr != nil {
 				continue
 			}
-			t.resp = Response{Committed: true, CommitVersion: t.version, ReplicaSeq: s.nextReplicaSeqLocked(t.req.Origin), SeqEpoch: s.basisTerm}
-			// Writesets up to (excluding) the task's own version:
-			// earlier commits of this same batch are included and will
-			// be durable by the time the response leaves (the batch
-			// barrier covers them). The fill includes the origin's own
-			// earlier writesets too: in the window above the replica's
-			// reported version, "own" entries exist only if their
-			// responses were lost, and a response that makes the
-			// replica announce past them must carry their data or the
-			// replica is left with a permanent hole. Already-applied
-			// own writesets sit at or below the replica's version and
-			// are filtered by the proxy's basis cursor, so the healthy
-			// path never re-applies them.
-			s.fillRemotesLocked(&t.resp, t.req.Origin, true, t.req.ReplicaVersion, t.version-1, t.req.NeedSafeBack)
+			t.resp = Response{Committed: true, CommitVersion: t.version}
+			s.fillRemotesLocked(&t.resp, t.req.Origin, false, t.req.ReplicaVersion, t.version-1)
 		} else {
-			t.resp = Response{Committed: false, ReplicaSeq: s.nextReplicaSeqLocked(t.req.Origin), SeqEpoch: s.basisTerm}
-			s.fillRemotesLocked(&t.resp, t.req.Origin, true, t.req.ReplicaVersion, s.committedCap(), t.req.NeedSafeBack)
+			t.resp = Response{}
+			s.fillRemotesLocked(&t.resp, t.req.Origin, false, t.req.ReplicaVersion, s.committedCap())
 		}
 	}
 	s.mu.Unlock()

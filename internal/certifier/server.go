@@ -24,8 +24,7 @@ type Stats struct {
 	Aborts         int64
 	InjectedAborts int64
 	Pulls          int64
-	RemoteShipped  int64 // remote writesets shipped to replicas
-	CertifyBackOps int64 // extended certification checks performed
+	RemoteShipped  int64 // committed entries shipped to replicas
 }
 
 // Config parameterizes one certifier node.
@@ -74,11 +73,6 @@ type Config struct {
 	// ElectionTimeout/Seed tune the underlying replication group.
 	ElectionTimeout time.Duration
 	Seed            int64
-	// Partitioned marks this certifier as one group of a partitioned
-	// deployment: responses ship raw log-entry payloads (kind, 2PC
-	// metadata and all) instead of bare writesets, because partitioned
-	// replicas merge full per-group streams (see internal/partition).
-	Partitioned bool
 	// Group is the partition id this certifier serves (informational).
 	Group int
 }
@@ -129,7 +123,6 @@ type Server struct {
 	engine     *core.Engine
 	basisTerm  uint64 // term the engine was last rebuilt for
 	basisValid bool
-	replicaSeq map[int]uint64 // per-origin response sequence numbers
 	rng        *rand.Rand
 	stats      Stats
 }
@@ -376,8 +369,8 @@ func (s *Server) ensureEngineLocked() error {
 		}
 		if err := eng.Append(core.LogEntry{
 			Version: core.Version(e.Index), WS: dec.WS, Origin: dec.Origin,
-			CertifiedBack: core.Version(dec.Start),
-			Kind:          dec.Kind, GID: dec.GID, Involved: dec.Involved,
+			Start: core.Version(dec.Start),
+			Kind:  dec.Kind, GID: dec.GID, Involved: dec.Involved,
 		}); err != nil {
 			return fmt.Errorf("certifier: rebuilding engine: %w", err)
 		}
@@ -385,9 +378,6 @@ func (s *Server) ensureEngineLocked() error {
 	s.engine = eng
 	s.basisTerm = term
 	s.basisValid = true
-	// A leadership change starts a fresh response-sequencing epoch;
-	// proxies detect the reset and resynchronize.
-	s.replicaSeq = make(map[int]uint64)
 	// A new leader cannot mark the previous term's tail committed
 	// until an entry of its own term commits; until then pulls and
 	// resyncs are capped below transactions that are already acked.
@@ -400,16 +390,6 @@ func (s *Server) ensureEngineLocked() error {
 		}()
 	}
 	return nil
-}
-
-// nextReplicaSeqLocked hands out the dense per-origin sequence number
-// stamped on every response.
-func (s *Server) nextReplicaSeqLocked(origin int) uint64 {
-	if s.replicaSeq == nil {
-		s.replicaSeq = make(map[int]uint64)
-	}
-	s.replicaSeq[origin]++
-	return s.replicaSeq[origin]
 }
 
 // committedCap bounds what leaves the certifier to majority-durable
@@ -461,12 +441,11 @@ func (s *Server) Barrier() (uint64, error) {
 	return s.node.CommitIndex(), nil
 }
 
-// fillRemotesLocked collects the writesets in (after, upTo] that did
-// not originate at the requesting replica — or every writeset in the
-// range when includeOwn is set (replica recovery needs its own
-// transactions back too) — optionally annotated with certify-back
-// information.
-func (s *Server) fillRemotesLocked(resp *Response, origin int, includeOwn bool, after, upTo uint64, needSafeBack bool) {
+// fillRemotesLocked collects the committed entries in (after, upTo]
+// that did not originate at the requesting replica — or every entry in
+// the range when includeOwn is set (a pulling replica needs its own
+// lost or pre-crash transactions back too).
+func (s *Server) fillRemotesLocked(resp *Response, origin int, includeOwn bool, after, upTo uint64) {
 	entries, err := s.engine.EntriesSince(core.Version(after), core.Version(upTo))
 	if err != nil {
 		// Horizon truncated below the replica's version; the replica
@@ -477,22 +456,7 @@ func (s *Server) fillRemotesLocked(resp *Response, origin int, includeOwn bool, 
 		if e.Origin == origin && !includeOwn {
 			continue
 		}
-		r := RemoteWS{Version: uint64(e.Version), WSBytes: e.WS.Encode(nil)}
-		if s.cfg.Partitioned {
-			// Partitioned replicas merge full per-group streams: ship
-			// the raw entry payload (kind and 2PC metadata included).
-			r.WSBytes = encodeEngineEntry(e)
-		}
-		if needSafeBack {
-			back, err := s.engine.CertifyBack(e.Version, core.Version(after))
-			if err == nil {
-				r.SafeBack = uint64(back)
-			} else {
-				r.SafeBack = uint64(e.Version) // force serialization on error
-			}
-			s.stats.CertifyBackOps++
-		}
-		resp.Remote = append(resp.Remote, r)
+		resp.Remote = append(resp.Remote, RemoteWS{Version: uint64(e.Version), Data: encodeEngineEntry(e)})
 		s.stats.RemoteShipped++
 	}
 }
@@ -571,8 +535,8 @@ func (s *Server) Prepare(req PrepareRequest) (PrepareResponse, error) {
 	}
 	if aerr := s.engine.Append(core.LogEntry{
 		Version: core.Version(version), WS: ws, Origin: req.Origin,
-		CertifiedBack: core.Version(req.StartVersion),
-		Kind:          core.KindPrepare, GID: req.GID, Involved: req.Involved,
+		Start: core.Version(req.StartVersion),
+		Kind:  core.KindPrepare, GID: req.GID, Involved: req.Involved,
 	}); aerr != nil {
 		s.basisValid = false
 	}
@@ -703,11 +667,6 @@ func (s *Server) pull(req PullRequest) (PullResponse, error) {
 	s.stats.Pulls++
 	var r Response
 	upTo := s.committedCap()
-	s.fillRemotesLocked(&r, req.Origin, req.IncludeOwn, req.ReplicaVersion, upTo, req.NeedSafeBack)
-	return PullResponse{
-		Remote: r.Remote, SystemVersion: upTo,
-		Busy:       s.inFlight.Load() > 0,
-		ReplicaSeq: s.nextReplicaSeqLocked(req.Origin),
-		SeqEpoch:   s.basisTerm,
-	}, nil
+	s.fillRemotesLocked(&r, req.Origin, req.IncludeOwn, req.ReplicaVersion, upTo)
+	return PullResponse{Remote: r.Remote, SystemVersion: upTo, Busy: s.inFlight.Load() > 0}, nil
 }

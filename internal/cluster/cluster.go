@@ -33,9 +33,10 @@ type Config struct {
 	// two backups, as in the paper).
 	Certifiers int
 	// Partitions shards the keyspace across this many independent
-	// certifier groups (see internal/partition); 0 or 1 keeps the
-	// classic single-group system. Each group is its own paxos cluster
-	// of Certifiers nodes with its own log disk.
+	// certifier groups (see internal/partition); 0 or 1 means one group.
+	// Each group is its own paxos cluster of Certifiers nodes with its
+	// own log disk, and every replica merges the groups' committed
+	// streams — a single group's merged order is its log order.
 	Partitions int
 	// DisableCertDurability turns off certifier disk writes — the
 	// tashAPInoCERT configuration of §9.2.
@@ -71,13 +72,6 @@ type Config struct {
 	// failing over before reporting the group unavailable (0 = 10 s).
 	// Chaos runs shrink it so partitioned commits fail fast.
 	CertTimeout time.Duration
-	// SeqTimeout bounds how long a proxy waits for a lost response-
-	// sequence predecessor before resyncing (0 = proxy default 5 s).
-	SeqTimeout time.Duration
-	// SeqObserver, if set, receives every proxy sequencer admission
-	// (replica index, epoch, seq, outcome) — the chaos invariant
-	// checker's view of per-origin response sequencing.
-	SeqObserver func(replica int, epoch, seq uint64, outcome string)
 	// PaxosCallHook, if set, filters certifier replication RPCs
 	// (from/to certifier ids); returning an error suppresses the send.
 	// Chaos drills use it to isolate certifiers from their peers.
@@ -90,8 +84,8 @@ type Config struct {
 	LocalCertification bool
 	EagerPreCert       bool
 	StalenessBound     time.Duration
-	// ApplyWorkers enables the parallel dependency-tracked remote
-	// applier on every replica (see proxy.Config.ApplyWorkers).
+	// ApplyWorkers sets the width of every replica's parallel
+	// dependency-tracked applier (see proxy.Config.ApplyWorkers).
 	ApplyWorkers int
 	// Seed makes disk jitter and elections deterministic.
 	Seed int64
@@ -120,8 +114,7 @@ type Cluster struct {
 	localFab *transport.LocalFabric
 	tcpFab   *transport.TCPFabric
 	// certs holds every certifier node, flat across groups: group g
-	// owns indices [g*Certifiers, (g+1)*Certifiers). The classic
-	// single-group system is simply groups == 1.
+	// owns indices [g*Certifiers, (g+1)*Certifiers).
 	certs    []*certifier.Server
 	certUp   []bool
 	groups   int
@@ -171,9 +164,8 @@ func New(cfg Config) (*Cluster, error) {
 		return nil, fmt.Errorf("cluster: unknown transport %q (want local or tcp)", cfg.Transport)
 	}
 
-	// Certifier tier: one paxos group per partition (one group total in
-	// the classic system). Peer links stay within a group — the groups
-	// are fully independent.
+	// Certifier tier: one paxos group per partition. Peer links stay
+	// within a group — the groups are fully independent.
 	for i := 0; i < groups*cfg.Certifiers; i++ {
 		g, k := i/cfg.Certifiers, i%cfg.Certifiers
 		peers := make(map[int]transport.Client)
@@ -195,7 +187,6 @@ func New(cfg Config) (*Cluster, error) {
 			PaxosCallHook:     c.paxosHookFor(i),
 			ElectionTimeout:   200 * time.Millisecond,
 			Seed:              cfg.Seed + int64(i),
-			Partitioned:       groups > 1,
 			Group:             g,
 		})
 		c.fabric.Serve(c.certName(i), srv.Handle)
@@ -212,17 +203,6 @@ func New(cfg Config) (*Cluster, error) {
 
 	// Replicas.
 	for i := 0; i < cfg.Replicas; i++ {
-		i := i
-		var observer func(epoch, seq uint64, outcome string)
-		if cfg.SeqObserver != nil {
-			observer = func(epoch, seq uint64, outcome string) {
-				cfg.SeqObserver(i, epoch, seq, outcome)
-			}
-		}
-		var topo *partition.Topology
-		if groups > 1 {
-			topo = c.newTopology(i)
-		}
 		r := replica.Open(replica.Config{
 			ID:   i + 1,
 			Mode: cfg.Mode,
@@ -231,8 +211,7 @@ func New(cfg Config) (*Cluster, error) {
 				Dedicated: cfg.DedicatedIO,
 				Seed:      cfg.Seed + int64(i)*104729,
 			},
-			Cert:               c.newCertClient(i, 0),
-			Parts:              topo,
+			Parts:              c.newTopology(i),
 			PageMissEvery:      cfg.PageMissEvery,
 			CheckpointEvery:    cfg.CheckpointEvery,
 			LockTimeout:        cfg.LockTimeout,
@@ -240,8 +219,6 @@ func New(cfg Config) (*Cluster, error) {
 			LocalCertification: cfg.LocalCertification,
 			EagerPreCert:       cfg.EagerPreCert,
 			StalenessBound:     cfg.StalenessBound,
-			SeqTimeout:         cfg.SeqTimeout,
-			SeqObserver:        observer,
 			ApplyWorkers:       cfg.ApplyWorkers,
 		})
 		c.replicas = append(c.replicas, r)
@@ -298,8 +275,8 @@ func GroupCertifierName(g, k int) string { return fmt.Sprintf("cert-g%d-%d", g, 
 
 // paxosHookFor curries the configured certifier-link filter for one
 // node (nil when unconfigured). Paxos peer ids are group-local; the
-// hook surfaces flat node indices so one rule vocabulary covers both
-// classic and partitioned clusters.
+// hook surfaces flat node indices so one rule vocabulary covers one
+// group and many.
 func (c *Cluster) paxosHookFor(global int) func(peer int, method string) error {
 	if c.cfg.PaxosCallHook == nil {
 		return nil
@@ -325,8 +302,8 @@ func (c *Cluster) newCertClient(i, group int) *certifier.Client {
 	return certifier.NewClient(clients, timeout)
 }
 
-// newTopology builds replica i's partitioned-certification view: the
-// hash map plus one failover client per group.
+// newTopology builds replica i's view of the certifier tier: the
+// partition map plus one failover client per group.
 func (c *Cluster) newTopology(i int) *partition.Topology {
 	t := &partition.Topology{Map: partition.Map{N: c.groups}}
 	for g := 0; g < c.groups; g++ {
@@ -462,7 +439,7 @@ func (c *Cluster) WaitVersion(ctx context.Context, i int, v uint64) error {
 }
 
 // CertLeader returns group 0's current leader (nil if none) — the
-// whole tier's leader in a classic single-group cluster.
+// whole tier's leader in a single-group cluster.
 func (c *Cluster) CertLeader() *certifier.Server {
 	return c.GroupLeader(0)
 }
@@ -568,7 +545,6 @@ func (c *Cluster) RecoverCertifier(i int, img []byte) error {
 		PaxosCallHook:     c.paxosHookFor(i),
 		ElectionTimeout:   200 * time.Millisecond,
 		Seed:              c.cfg.Seed + int64(i) + 1000,
-		Partitioned:       c.groups > 1,
 		Group:             g,
 	})
 	if err := srv.RestoreFromImage(img); err != nil {
@@ -635,50 +611,15 @@ func (c *Cluster) SetAbortRate(r float64) {
 	}
 }
 
-// ConvergeAll pulls every replica up to the certifier's committed
-// version and waits for the stores to announce it — used between a
-// measurement and a state comparison.
+// ConvergeAll drives a quiesced cluster to one common state: each
+// group whose leader still holds an uncommitted tail (a failover left
+// the previous term's entries unfinalized) commits a barrier, every
+// group's log is padded to the same head H (the deterministic merge
+// can only emit up to the shortest group), and then every replica is
+// pulled until it has announced all groups*H merged versions. A
+// single group needs neither padding nor, without a failover, a
+// barrier: its head is the target.
 func (c *Cluster) ConvergeAll(timeout time.Duration) error {
-	if c.groups > 1 {
-		return c.convergeAllPartitioned(timeout)
-	}
-	leader := c.CertLeader()
-	if leader == nil {
-		return errors.New("cluster: no leader")
-	}
-	target := leader.Node().CommitIndex()
-	for _, r := range c.replicas {
-		if err := r.Proxy().PullOnce(); err != nil {
-			return err
-		}
-	}
-	// Condition-wait on each store's commit-order announcement instead
-	// of polling AnnouncedVersion: the wait ends the instant the version
-	// lands. A slice timeout re-pulls as a nudge in case the in-flight
-	// stream stalled.
-	deadline := time.Now().Add(timeout)
-	for _, r := range c.replicas {
-		for r.Store().AnnouncedVersion() < target {
-			if time.Now().After(deadline) {
-				return fmt.Errorf("cluster: convergence to version %d timed out", target)
-			}
-			if err := r.Store().WaitAnnounced(target, 20*time.Millisecond); err != nil {
-				if perr := r.Proxy().PullOnce(); perr != nil {
-					return perr
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// convergeAllPartitioned drives a quiesced partitioned cluster to one
-// common state: every group's log is padded to the same head H (the
-// deterministic merge can only emit up to the shortest group), each
-// group commits a barrier so failover tails are finalized, and then
-// every replica is pulled until it has announced all groups*H merged
-// versions.
-func (c *Cluster) convergeAllPartitioned(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 
 	// Equalize the group heads; quiesced, so this settles immediately,
@@ -688,17 +629,20 @@ func (c *Cluster) convergeAllPartitioned(timeout time.Duration) error {
 		var high uint64
 		heads := make([]uint64, c.groups)
 		for g := 0; g < c.groups; g++ {
-			if _, err := c.BarrierGroup(g, timeout); err != nil {
-				return err
-			}
 			leader := c.GroupLeader(g)
 			if leader == nil {
-				return fmt.Errorf("cluster: group %d lost its leader during convergence", g)
+				return fmt.Errorf("cluster: group %d has no leader", g)
+			}
+			if n := leader.Node(); n.CommitIndex() < n.LogLength() {
+				if _, err := c.BarrierGroup(g, timeout); err != nil {
+					return err
+				}
+				if leader = c.GroupLeader(g); leader == nil {
+					return fmt.Errorf("cluster: group %d lost its leader during convergence", g)
+				}
 			}
 			heads[g] = leader.Node().CommitIndex()
-			if heads[g] > high {
-				high = heads[g]
-			}
+			high = max(high, heads[g])
 		}
 		equal := true
 		for g := 0; g < c.groups; g++ {

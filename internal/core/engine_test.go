@@ -116,42 +116,6 @@ func TestTruncate(t *testing.T) {
 	}
 }
 
-func TestCertifyBack(t *testing.T) {
-	e := NewEngine()
-	e.Certify(0, wsOf("x"), 0) // v1
-	e.Certify(1, wsOf("y"), 0) // v2
-	e.Certify(2, wsOf("z"), 0) // v3, started at 2
-	// v3 writes z, nothing earlier wrote z: certifiable back to 0.
-	back, err := e.CertifyBack(3, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back != 0 {
-		t.Errorf("CertifyBack(3,0) = %d, want 0", back)
-	}
-	// v2 writes y; nothing else writes y.
-	if back, _ := e.CertifyBack(2, 0); back != 0 {
-		t.Errorf("CertifyBack(2,0) = %d, want 0", back)
-	}
-	// A later writer of x: v4 started at 3.
-	e.Certify(3, wsOf("x"), 0) // v4
-	// v4 conflicts with v1 (both write x), so certify-back stops at 1.
-	if back, _ := e.CertifyBack(4, 0); back != 1 {
-		t.Errorf("CertifyBack(4,0) = %d, want 1 (artificial conflict with v1)", back)
-	}
-	// Memoized result must be stable.
-	if back, _ := e.CertifyBack(4, 0); back != 1 {
-		t.Error("memoized CertifyBack changed")
-	}
-	// Asking for a shallower bound uses the memo.
-	if back, _ := e.CertifyBack(4, 2); back != 1 {
-		t.Errorf("CertifyBack(4,2) = %d, want memoized 1", back)
-	}
-	if _, err := e.CertifyBack(99, 0); err == nil {
-		t.Error("CertifyBack of unknown version should error")
-	}
-}
-
 func TestRestoreRebuildsEngine(t *testing.T) {
 	e := NewEngine()
 	e.Certify(0, wsOf("a"), 0)
@@ -253,58 +217,6 @@ func TestQuickGSISafety(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestQuickCertifyBackSound checks that whenever CertifyBack reports an
-// entry conflict-free back to version b, no retained writeset in
-// (b, entry.Version) actually intersects it.
-func TestQuickCertifyBackSound(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		e := NewEngine()
-		keys := []string{"a", "b", "c", "d"}
-		for i := 0; i < 40; i++ {
-			start := Version(r.Intn(int(e.SystemVersion()) + 1))
-			ws := &Writeset{}
-			for _, k := range keys {
-				if r.Intn(3) == 0 {
-					ws.Add(WriteOp{Kind: OpUpdate, Table: "t", Key: k})
-				}
-			}
-			if ws.Empty() {
-				continue
-			}
-			e.Certify(start, ws, 0)
-		}
-		sys := int(e.SystemVersion())
-		if sys == 0 {
-			return true
-		}
-		for probe := 0; probe < 10; probe++ {
-			v := Version(1 + r.Intn(sys))
-			back, err := e.CertifyBack(v, 0)
-			if err != nil {
-				return false
-			}
-			entry, err := e.Entry(v)
-			if err != nil {
-				return false
-			}
-			for u := back + 1; u < v; u++ {
-				other, err := e.Entry(u)
-				if err != nil {
-					return false
-				}
-				if entry.WS.Intersects(other.WS) {
-					return false // claimed conflict-free but intersects
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
 }

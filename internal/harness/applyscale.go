@@ -108,8 +108,14 @@ func runApplyStream(workers int, entries []proxy.RemoteEntry, seed int64) (Apply
 		OrderTimeout: 30 * time.Second,
 	})
 	defer store.Close()
+	// Tashkent-API always runs the parallel applier; the serial gate
+	// (workers == 0) is the Base discipline on the same syncing log.
+	mode := proxy.TashkentAPI
+	if workers == 0 {
+		mode = proxy.Base
+	}
 	p := proxy.New(proxy.Config{
-		Mode:             proxy.TashkentAPI,
+		Mode:             mode,
 		ReplicaID:        1,
 		Store:            store,
 		ChunkWaitTimeout: 10 * time.Second,
@@ -151,8 +157,8 @@ func runApplyStream(workers int, entries []proxy.RemoteEntry, seed int64) (Apply
 // dependency chains bound the achievable parallelism. Phase B runs an
 // update-heavy workload against a 4-group partitioned cluster with the
 // parallel applier enabled and profiles each replica's apply lag (the
-// gap between the merged stream's planning cursor and the announced
-// version) — the freshness metric the applier exists to bound.
+// gap between the merged versions the merger has drained and the
+// announced version) — the freshness metric the applier exists to bound.
 func RunApplyScaleExperiment(o Options) (ApplyScaleResult, error) {
 	o = o.withDefaults()
 	var res ApplyScaleResult

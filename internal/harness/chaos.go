@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"tashkent/internal/certifier"
 	"tashkent/internal/chaos"
 	"tashkent/internal/cluster"
 	"tashkent/internal/mvstore"
@@ -52,7 +51,7 @@ type faultEvent struct {
 type chaosPlan struct {
 	seed       int64
 	mode       proxy.Mode
-	partitions int // certifier groups (1 = classic single-group system)
+	partitions int // certifier groups
 	rules      chaos.Rules
 	window     time.Duration
 	events     []faultEvent
@@ -118,7 +117,7 @@ func buildChaosPlan(seed int64, window time.Duration) chaosPlan {
 	rng := rand.New(rand.NewSource(seed ^ 0xC4A05))
 	modes := []proxy.Mode{proxy.TashkentMW, proxy.TashkentAPI, proxy.Base}
 	// Half the seeds run partitioned certification (2 or 4 groups); the
-	// rest keep the classic single-group system under fire.
+	// rest run a single group. Every seed runs the one merged pipeline.
 	partitions := 1
 	if rng.Intn(2) == 1 {
 		partitions = []int{2, 4}[rng.Intn(2)]
@@ -265,11 +264,9 @@ func runChaosPlan(plan chaosPlan, o Options) (ChaosResult, error) {
 		LockTimeout:        time.Second,
 		OrderTimeout:       2 * time.Second,
 		CertTimeout:        2 * time.Second,
-		SeqTimeout:         300 * time.Millisecond,
 		StalenessBound:     100 * time.Millisecond,
-		SeqObserver:        checker.SeqObserver,
-		// Parallel dependency-tracked apply, active in API/partitioned
-		// plans — the chaos suite doubles as its crash/resync soak.
+		// Parallel dependency-tracked apply on every replica — the
+		// chaos suite doubles as its crash/resync soak.
 		ApplyWorkers: 8,
 		Seed:         seed,
 	})
@@ -593,23 +590,13 @@ func dumpChaosDiff(c *cluster.Cluster, log []chaos.LogEntry) {
 	}
 }
 
-// groundTruthLog builds the checker's ground truth: the single
-// certifier log in classic mode, or the deterministic merge of every
-// group's log in partitioned mode.
+// groundTruthLog builds the checker's ground truth: the merged apply
+// order of the group leaders' committed logs, rebuilt exactly as a
+// replica's assembler would (with one group, the log itself). Versions
+// are merged versions; entries that install nothing (barriers, fills,
+// prepares, markers past the first) are omitted, so the version
+// sequence has gaps the checker tolerates.
 func groundTruthLog(c *cluster.Cluster) ([]chaos.LogEntry, error) {
-	if c.Groups() <= 1 {
-		return committedLog(c.CertLeader())
-	}
-	return mergedCommittedLogs(c)
-}
-
-// mergedCommittedLogs rebuilds the merged apply order from the N group
-// leaders' committed logs, exactly as a replica's assembler would —
-// the ground truth of a partitioned run. Versions are merged versions;
-// entries that install nothing (fills, prepares, markers past the
-// first) are omitted, so the version sequence has gaps the checker
-// tolerates.
-func mergedCommittedLogs(c *cluster.Cluster) ([]chaos.LogEntry, error) {
 	asm := partition.NewAssembler(c.Groups())
 	total := 0
 	for g := 0; g < c.Groups(); g++ {
@@ -645,28 +632,6 @@ func mergedCommittedLogs(c *cluster.Cluster) ([]chaos.LogEntry, error) {
 		g, idx := asm.Blocking()
 		return nil, fmt.Errorf("merge stalled at %d of %d entries, waiting for group %d index %d (group heads unequal?)",
 			emitted, total, g, idx)
-	}
-	return out, nil
-}
-
-// committedLog decodes the leader's committed log prefix into checker
-// ground truth.
-func committedLog(leader *certifier.Server) ([]chaos.LogEntry, error) {
-	if leader == nil {
-		return nil, fmt.Errorf("no leader")
-	}
-	commit := leader.Node().CommitIndex()
-	_, _, entries := leader.Node().SnapshotLog()
-	if uint64(len(entries)) < commit {
-		return nil, fmt.Errorf("leader log %d shorter than commit index %d", len(entries), commit)
-	}
-	out := make([]chaos.LogEntry, 0, commit)
-	for _, e := range entries[:commit] {
-		ent, err := certifier.DecodeLogEntry(e.Data)
-		if err != nil {
-			return nil, fmt.Errorf("entry %d: %w", e.Index, err)
-		}
-		out = append(out, chaos.LogEntry{Version: e.Index, Origin: ent.Origin, WS: ent.WS})
 	}
 	return out, nil
 }

@@ -18,7 +18,7 @@ type PartitionPoint struct {
 	Result     workload.Result
 	// GroupBatch and GroupRatio are the per-group leader's pipeline
 	// batch sizes and writesets per fsync (index = partition id; one
-	// entry for the classic single-group system).
+	// entry for a single group).
 	GroupBatch []metrics.DistSummary
 	GroupRatio []float64
 	// Batch and Util roll the per-group numbers up: total certified
@@ -50,8 +50,8 @@ const partitionsDefaultMaxBatch = 4
 // under a uniform update-heavy load of single-partition transactions:
 // AllUpdates in Tashkent-MW mode at a fixed replica count, dedicated
 // IO, no execution think time, so the certification channel — not
-// replica-side execution — saturates first. One partition is the
-// classic single-group system; each added group brings its own paxos
+// replica-side execution — saturates first. One partition is a
+// single certifier group; each added group brings its own paxos
 // log, its own batching pipeline and its own log disk. The table
 // reports throughput, speedup over one partition, per-group writesets
 // per fsync, and how evenly load spread across the group disks.

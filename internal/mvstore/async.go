@@ -289,6 +289,7 @@ func (s *Store) drainPending() {
 			for s.published.Load() != seq-1 {
 				s.pubCond.Wait()
 			}
+			s.raisePublishing(pc.to)
 			s.published.Store(seq)
 			s.pubCond.Broadcast()
 			s.pubMu.Unlock()

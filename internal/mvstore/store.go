@@ -190,16 +190,21 @@ type Store struct {
 
 	// Commit-order semaphore (global version space).
 	announced atomic.Uint64 // read lock-free; advanced under orderMu
-	orderMu   sync.Mutex
-	orderWait []orderWaiter
+	// publishing is raised to a labeled commit's version just before
+	// its sequence is published, while announced follows only after:
+	// read after a snapshot is taken, it bounds every labeled commit
+	// the snapshot can hold (see VisibleCeiling).
+	publishing atomic.Uint64
+	orderMu    sync.Mutex
+	orderWait  []orderWaiter
 
 	// applyGate serializes the install+announce step of *labeled*
 	// commits so globally-versioned writesets always reach the row
 	// chains in announce order. In healthy operation the gate is
-	// uncontended (the proxy sequencer / order semaphore already
-	// serialize labeled applies); it exists for the degraded paths —
-	// a resync racing in-flight remote appliers after lost responses
-	// or a certifier failover — where two appliers can hold
+	// uncontended (the proxy's single merger / order semaphore
+	// already serialize labeled applies); it exists for the degraded
+	// paths — a catch-up racing in-flight appliers after lost
+	// responses or a certifier failover — where two appliers can hold
 	// overlapping version ranges. The loser of the gate finds its
 	// range already announced and skips (supersededCommits), instead
 	// of installing stale values over newer ones.
@@ -304,6 +309,29 @@ func (s *Store) Stats() Stats {
 func (s *Store) AnnouncedVersion() uint64 {
 	return s.announced.Load()
 }
+
+// VisibleCeiling returns an upper bound on the global versions a
+// snapshot taken before the call can expose. AnnouncedVersion is not
+// one: a labeled commit publishes its row versions first and advances
+// the announce semaphore after, so for a moment a new snapshot holds a
+// version the semaphore has not reached.
+func (s *Store) VisibleCeiling() uint64 {
+	return max(s.publishing.Load(), s.announced.Load())
+}
+
+// raisePublishing lifts the publishing ceiling to v (never lowers it).
+func (s *Store) raisePublishing(v uint64) {
+	for {
+		cur := s.publishing.Load()
+		if v <= cur || s.publishing.CompareAndSwap(cur, v) {
+			return
+		}
+	}
+}
+
+// SyncsCommits reports whether every commit record is made durable
+// before the commit returns (WALMode SyncCommits).
+func (s *Store) SyncsCommits() bool { return s.cfg.WALMode == wal.SyncCommits }
 
 // SetAnnounced initializes the commit-order semaphore, used when a
 // recovered replica rejoins at a nonzero global version. Advancing the

@@ -418,6 +418,9 @@ func (tx *Tx) applyCommit(announceTo uint64) error {
 	for s.published.Load() != seq-1 {
 		s.pubCond.Wait()
 	}
+	if gated {
+		s.raisePublishing(announceTo)
+	}
 	s.published.Store(seq)
 	s.pubCond.Broadcast()
 	s.pubMu.Unlock()

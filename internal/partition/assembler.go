@@ -80,12 +80,9 @@ func NewAssembler(n int) *Assembler {
 	return a
 }
 
-// Offer feeds one committed entry of group g at the given log index.
-// Duplicates and already-emitted indexes are ignored. Prepare parts
-// register immediately on receipt (not on emission): a commit marker
-// in a fast group may reach its merge position long before the slow
-// group's prepare entry does, and the union must not wait for the
-// prepare's own — much later — merge position.
+// Offer feeds one committed entry of group g at the given log index,
+// as its raw payload. Duplicates and already-emitted indexes are
+// ignored.
 func (a *Assembler) Offer(g int, index uint64, raw []byte) error {
 	if g < 0 || g >= a.n {
 		return fmt.Errorf("partition: offer to group %d of %d", g, a.n)
@@ -100,6 +97,24 @@ func (a *Assembler) Offer(g int, index uint64, raw []byte) error {
 	if err != nil {
 		return fmt.Errorf("partition: group %d index %d: %w", g, index, err)
 	}
+	a.OfferEntry(g, index, e)
+	return nil
+}
+
+// OfferEntry is Offer for an already decoded entry — a replica offers
+// its own committed transaction straight from the certification
+// response. Prepare parts register immediately on receipt (not on
+// emission): a commit marker in a fast group may reach its merge
+// position long before the slow group's prepare entry does, and the
+// union must not wait for the prepare's own — much later — merge
+// position.
+func (a *Assembler) OfferEntry(g int, index uint64, e certifier.Entry) {
+	if index < a.next[g] {
+		return // already emitted
+	}
+	if _, dup := a.buf[g][index]; dup {
+		return
+	}
 	a.buf[g][index] = e
 	for {
 		if _, ok := a.buf[g][a.frontier[g]+1]; !ok {
@@ -110,7 +125,19 @@ func (a *Assembler) Offer(g int, index uint64, raw []byte) error {
 	if e.Kind == core.KindPrepare {
 		a.registerPart(g, e)
 	}
-	return nil
+}
+
+// Resume positions a fresh assembler after a prefix applied elsewhere:
+// group g's stream continues at index vector[g]+1, and the merged
+// count is the prefix's length. Every emitted action consumes exactly
+// one entry of one group, so that length is the sum of the vector.
+func (a *Assembler) Resume(vector []uint64) {
+	a.merged = 0
+	for g, v := range vector {
+		a.next[g] = v + 1
+		a.frontier[g] = v
+		a.merged += v
+	}
 }
 
 func (a *Assembler) registerPart(g int, e certifier.Entry) {

@@ -598,3 +598,41 @@ func TestStopIdempotent(t *testing.T) {
 		t.Errorf("Propose after stop: %v", err)
 	}
 }
+
+// TestHigherTermVoteReleasesDeposedLeader: a leader whose peers are
+// unreachable learns of a higher term from a vote request. A proposal
+// blocked in WaitCommitted must fail with ErrDeposed at once — the
+// election timeout is long enough that check-quorum cannot step the
+// leader down first.
+func TestHigherTermVoteReleasesDeposedLeader(t *testing.T) {
+	fabric := transport.NewLocalFabric(0)
+	n := NewNode(Config{
+		ID:              0,
+		Peers:           map[int]transport.Client{1: fabric.Dial("nobody1"), 2: fabric.Dial("nobody2")},
+		Disk:            simdisk.New(simdisk.Instant(), 1),
+		WALMode:         wal.SyncCommits,
+		ElectionTimeout: 10 * time.Second,
+		Seed:            1,
+	})
+	t.Cleanup(n.Stop)
+	n.mu.Lock()
+	n.role, n.term = Candidate, 1
+	n.mu.Unlock()
+	n.becomeLeader(1)
+	idx, term, err := n.Propose([]byte("stranded"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- n.WaitCommitted(idx, term) }()
+	time.Sleep(20 * time.Millisecond) // let the waiter park
+	n.handleVote(voteArgs{Term: term + 1, Candidate: 1, LastIndex: idx, LastTerm: term})
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrDeposed) {
+			t.Fatalf("waiter released with %v; want ErrDeposed", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("deposed leader's waiter still blocked after a higher-term vote")
+	}
+}

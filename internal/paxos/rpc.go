@@ -145,6 +145,7 @@ func (n *Node) handleVote(args voteArgs) voteReply {
 		n.votedFor = -1
 		n.role = Follower
 		n.persistMetaLocked()
+		n.cond.Broadcast() // a deposed leader's WaitCommitted callers fail over
 	}
 	lastIdx := uint64(len(n.log))
 	var lastTerm uint64
@@ -187,6 +188,9 @@ func (n *Node) handleAppend(args appendArgs) appendReply {
 		n.votedFor = args.LeaderID
 		n.role = Follower
 		n.persistMetaLocked()
+		// Wake WaitCommitted callers now: the consistency check below
+		// may return before anything else broadcasts.
+		n.cond.Broadcast()
 	}
 	n.leaderHint = args.LeaderID
 	n.lastHeard = nowFunc()
@@ -366,6 +370,7 @@ func (n *Node) startElectionLocked() {
 				n.role = Follower
 				n.votedFor = -1
 				n.persistMetaLocked()
+				n.cond.Broadcast()
 				n.mu.Unlock()
 				return
 			}

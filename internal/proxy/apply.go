@@ -1,451 +1,50 @@
 package proxy
 
 import (
-	"context"
 	"errors"
-	"fmt"
-	"sync"
-	"time"
 
-	"tashkent/internal/certifier"
 	"tashkent/internal/core"
 	"tashkent/internal/mvstore"
 )
 
-// sequencer admits certifier responses in their per-replica sequence
-// order: response seq k runs only after 1..k-1 have finished. The
-// certifier assigns the numbers in its (serial) processing order, so
-// this reconstructs the global order at the proxy even when transport
-// reorders concurrent responses.
-type sequencer struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	// next is the sequence number admitted next; 0 means unanchored
-	// (a freshly created, recovered, or epoch-reset proxy anchors to
-	// the first response it sees).
-	next uint64
-	// gen counts epoch resets: a certifier leadership change restarts
-	// the per-replica numbering, so waiters and cursor updates from the
-	// old epoch must not touch the re-anchored cursor.
-	gen uint64
-	// epoch is the certifier leadership term whose counter numbers the
-	// current sequence (0 until the first stamped response arrives).
-	// It lives here, under mu, so epoch validation is atomic with
-	// taking a sequence slot — an old-epoch response can never slip
-	// past a check and queue itself into the new numbering.
-	epoch uint64
-	// active marks a holder between enter and exit. An epoch advance
-	// must drain it before re-anchoring, or the new epoch's first
-	// application would overlap the old epoch's in-flight one.
-	active bool
-}
-
-func newSequencer() *sequencer {
-	s := &sequencer{}
-	s.cond = sync.NewCond(&s.mu)
-	return s
-}
-
-// errStaleSeq reports a sequence number below the current cursor
-// (possible only after a resync skipped it); the skipping resync
-// already applied the state the response carried.
-var errStaleSeq = errors.New("proxy: stale response sequence")
-
-// errEpochReset reports a response numbered by a superseded leadership
-// term. Unlike errStaleSeq nothing applied the remote writesets it
-// carried, so the caller must resync before moving on.
-var errEpochReset = errors.New("proxy: response from superseded sequence epoch")
-
-// errSeqTimeout reports that a predecessor response never arrived.
-var errSeqTimeout = errors.New("proxy: response sequence gap timeout")
-
-// enter blocks until seq is the next to run within epoch's numbering,
-// returning the generation token the caller must pass to exit/skipTo.
-// A new leadership term restarts the certifier's per-replica counters,
-// so an advancing epoch re-anchors the cursor and invalidates waiters
-// from the old term; epoch 0 marks epoch-less responses (tests, legacy
-// peers) that always join the current numbering. A timeout means a
-// predecessor was lost (certifier failover); the caller resynchronizes.
-func (s *sequencer) enter(epoch, seq uint64, timeout time.Duration) (uint64, error) {
-	deadline := time.Now().Add(timeout)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for epoch != 0 && epoch != s.epoch {
-		if epoch < s.epoch {
-			return s.gen, errEpochReset
-		}
-		// Advancing epoch: drain the in-flight holder before
-		// re-anchoring, so the old epoch's application finishes before
-		// the new epoch's first one starts. Re-evaluate after every
-		// wakeup — the epoch may have moved again while waiting.
-		if s.active {
-			if time.Now().After(deadline) {
-				return s.gen, errSeqTimeout
-			}
-			go func() {
-				time.Sleep(10 * time.Millisecond)
-				s.cond.Broadcast()
-			}()
-			s.cond.Wait()
-			continue
-		}
-		s.epoch = epoch
-		s.gen++
-		s.next = 0
-		s.cond.Broadcast()
-	}
-	gen := s.gen
-	if s.next == 0 {
-		s.next = seq
-	}
-	for s.next != seq {
-		if s.gen != gen {
-			return gen, errEpochReset
-		}
-		if s.next > seq {
-			return gen, errStaleSeq
-		}
-		if time.Now().After(deadline) {
-			return gen, errSeqTimeout
-		}
-		// cond.Wait has no deadline; poke the condition periodically.
-		go func() {
-			time.Sleep(10 * time.Millisecond)
-			s.cond.Broadcast()
-		}()
-		s.cond.Wait()
-	}
-	if s.gen != gen {
-		return gen, errEpochReset
-	}
-	s.active = true
-	return gen, nil
-}
-
-// exit releases the sequencer after seq's work is scheduled. gen must
-// be the token enter returned; a stale generation only clears the
-// holder flag without touching the re-anchored cursor.
-func (s *sequencer) exit(gen, seq uint64) {
-	s.mu.Lock()
-	if s.gen == gen && s.next == seq {
-		s.next = seq + 1
-	}
-	s.active = false
-	s.cond.Broadcast()
-	s.mu.Unlock()
-}
-
-// skipTo forces the cursor forward after a resync declared earlier
-// sequence numbers lost. A stale generation is a no-op.
-func (s *sequencer) skipTo(gen, seq uint64) {
-	s.mu.Lock()
-	if s.gen == gen && seq > s.next {
-		s.next = seq
-	}
-	s.cond.Broadcast()
-	s.mu.Unlock()
-}
-
-// enterSeq validates the response's epoch and takes its slot in the
-// per-replica sequence (atomically, inside the sequencer's lock).
-func (p *Proxy) enterSeq(epoch, seq uint64) (uint64, error) {
-	gen, err := p.seq.enter(epoch, seq, p.cfg.SeqTimeout)
-	if ob := p.cfg.SeqObserver; ob != nil {
-		outcome := "apply"
-		switch {
-		case errors.Is(err, errStaleSeq):
-			outcome = "stale"
-		case errors.Is(err, errEpochReset):
-			outcome = "epoch-reset"
-		case errors.Is(err, errSeqTimeout):
-			outcome = "gap-timeout"
-		}
-		ob(epoch, seq, outcome)
-	}
-	return gen, err
-}
-
-// --- Serial strategy (Base and Tashkent-MW) ---
-
-// commitSerial implements steps C4/C5 of §6.2 with the serial
-// discipline: the grouped remote writesets commit first (one WAL
-// flush in Base, an in-memory action in Tashkent-MW), then the local
-// transaction commits (another flush in Base). Certification itself is
-// concurrent across client sessions; only application is serialized,
-// which is exactly what makes Base pay two unsharable fsyncs per
-// update transaction.
-func (p *Proxy) commitSerial(ctx context.Context, t *Tx, req certifier.Request) error {
-	resp, err := p.certify(ctx, t, req)
-	if err != nil {
-		return err
-	}
-	gen, err := p.enterSeq(resp.SeqEpoch, resp.ReplicaSeq)
-	if err != nil {
-		p.handleSeqFailure(err, gen, resp.ReplicaSeq)
-		// After a resync every remote writeset is applied; the local
-		// transaction's fate follows the certifier decision below, but
-		// its writes were certified against a version we have already
-		// passed, so apply-by-writeset keeps state correct.
-		if resp.Committed {
-			p.applyLocalByWriteset(t, resp.CommitVersion)
-			t.commitVersion = resp.CommitVersion
-			return nil
-		}
-		t.inner.Abort()
-		p.addStat(func(st *Stats) { st.CertAborts++ })
-		return ErrCertificationAbort
-	}
-	defer p.seq.exit(gen, resp.ReplicaSeq)
-
-	p.mu.Lock()
-	basis := p.rvPlanned
-	p.mu.Unlock()
-	remotes, err := p.decodeRemotes(resp.Remote, basis)
-	if err != nil {
-		t.inner.Abort()
-		return err
-	}
-
-	// Apply the grouped remote writesets in their own transaction.
-	maxRemote := basis
-	if len(remotes) > 0 {
-		merged := &core.Writeset{}
-		for _, r := range remotes {
-			merged.Merge(r.ws)
-			if r.version > maxRemote {
-				maxRemote = r.version
-			}
-		}
-		if err := p.applyBatchWithRecovery(merged, basis, maxRemote, false); err != nil {
-			t.inner.Abort()
-			return err
-		}
-		p.recordRemotes(remotes)
-		p.addStat(func(st *Stats) {
-			st.RemoteApplied += int64(len(remotes))
-			st.RemoteChunks++
-		})
-	}
-
-	if !resp.Committed {
-		t.inner.Abort()
-		p.advanceRV(maxRemote)
-		p.addStat(func(st *Stats) { st.CertAborts++ })
-		return ErrCertificationAbort
-	}
-
-	// Commit the local transaction at its global version.
-	from := maxRemote
-	if err := t.inner.CommitLabeled(from, resp.CommitVersion); err != nil {
-		// Soft recovery (§8.1): the database refused the commit, but
-		// the transaction is globally committed — re-apply its
-		// writeset as a fresh transaction.
-		p.addStat(func(st *Stats) { st.SoftRecoveries++ })
-		if err := p.applyBatchWithRecovery(req.MustWriteset(), from, resp.CommitVersion, false); err != nil {
-			return err
-		}
-	}
-	p.advanceRV(resp.CommitVersion)
-	t.commitVersion = resp.CommitVersion
-	p.addStat(func(st *Stats) { st.Commits++ })
-	return nil
-}
-
-// --- Ordered strategy (Tashkent-API) ---
-
-// commitOrdered implements §5.2: remote writesets and the local commit
-// are submitted to the database *concurrently*, each carrying its
-// global version range; the database groups their commit records into
-// shared fsyncs and the ordering semaphore announces them in global
-// order. Artificial conflicts split the remote writesets into chunks
-// that wait for the conflicting version to be announced first.
-func (p *Proxy) commitOrdered(ctx context.Context, t *Tx, req certifier.Request) error {
-	resp, err := p.certify(ctx, t, req)
-	if err != nil {
-		return err
-	}
-	gen, err := p.enterSeq(resp.SeqEpoch, resp.ReplicaSeq)
-	if err != nil {
-		p.handleSeqFailure(err, gen, resp.ReplicaSeq)
-		if resp.Committed {
-			p.applyLocalByWriteset(t, resp.CommitVersion)
-			t.commitVersion = resp.CommitVersion
-			return nil
-		}
-		t.inner.Abort()
-		p.addStat(func(st *Stats) { st.CertAborts++ })
-		return ErrCertificationAbort
-	}
-
-	p.mu.Lock()
-	basis := p.rvPlanned
-	p.mu.Unlock()
-	remotes, err := p.decodeRemotes(resp.Remote, basis)
-	if err != nil {
-		p.seq.exit(gen, resp.ReplicaSeq)
-		t.inner.Abort()
-		return err
-	}
-	chunks := buildChunks(basis, p.cfg.Store.AnnouncedVersion(), remotes)
-
-	// Advance the planning cursor and release the sequencer: the
-	// actual disk work proceeds concurrently, ordered by the store's
-	// announce semaphore.
-	top := basis
-	for _, c := range chunks {
-		if c.to > top {
-			top = c.to
-		}
-	}
-	if resp.Committed && resp.CommitVersion > top {
-		top = resp.CommitVersion
-	}
-	p.advanceRV(top)
-	p.recordRemotes(remotes)
-	if n := int64(len(remotes)); n > 0 {
-		p.addStat(func(st *Stats) {
-			st.RemoteApplied += n
-			st.RemoteChunks += int64(len(chunks))
-		})
-	}
-	if p.sched != nil {
-		// Parallel applier: submit before releasing the sequencer, so
-		// scheduler windows arrive in ascending version order (the
-		// dependency analysis relies on it).
-		p.sched.submitChunks(chunks)
-		p.seq.exit(gen, resp.ReplicaSeq)
-	} else {
-		p.seq.exit(gen, resp.ReplicaSeq)
-		// Launch chunk applications concurrently.
-		for _, c := range chunks {
-			c := c
-			p.wg.Add(1)
-			go func() {
-				defer p.wg.Done()
-				p.applyChunk(c)
-			}()
-		}
-	}
-
-	if !resp.Committed {
-		t.inner.Abort()
-		p.addStat(func(st *Stats) { st.CertAborts++ })
-		return ErrCertificationAbort
-	}
-	// The local commit: concurrent with the chunks, ordered by the
-	// semaphore, groupable with everything in flight.
-	if err := t.inner.CommitOrdered(resp.CommitVersion-1, resp.CommitVersion); err != nil {
-		p.addStat(func(st *Stats) { st.SoftRecoveries++ })
-		if err2 := p.applyBatchWithRecovery(req.MustWriteset(), resp.CommitVersion-1, resp.CommitVersion, true); err2 != nil {
-			return fmt.Errorf("proxy: local commit failed (%v) and soft recovery failed: %w", err, err2)
-		}
-	}
-	t.commitVersion = resp.CommitVersion
-	p.addStat(func(st *Stats) { st.Commits++ })
-	return nil
-}
-
-// chunk is one group of remote writesets applied as a single
-// transaction covering global versions (From, To].
-type chunk struct {
-	from, to uint64
-	ws       *core.Writeset
-	// waitFor, when nonzero, is the version that must be announced
-	// before this chunk may take its locks (artificial conflict,
-	// §5.2.1).
-	waitFor uint64
-	split   bool // split caused by an artificial conflict (stats)
-}
-
-// buildChunks groups the remote writesets of one response. Writesets
-// with consecutive versions and no unresolved conflicts share a chunk
-// (one commit record, groupable); a version gap (caused by this
-// replica's own in-flight commits) or an artificial conflict starts a
-// new chunk. basis is the highest version already *scheduled* at this
-// replica; announced is the highest version already *visible*. A
-// writeset whose safe-back bound lies above announced must wait for
-// the conflicting version to commit before taking locks (§5.2.1 —
-// "the proxy delays submitting W45 until the conflicting transaction
-// T43 commits").
-func buildChunks(basis, announced uint64, remotes []appliedRemote) []chunk {
-	var out []chunk
-	var cur *chunk
-	for i := range remotes {
-		r := &remotes[i]
-		conflict := r.safeBack > announced
-		startNew := cur == nil || r.version != cur.to+1 || conflict
-		if startNew {
-			if cur != nil {
-				out = append(out, *cur)
-			}
-			c := chunk{from: r.version - 1, to: r.version, ws: r.ws.Clone()}
-			if conflict {
-				c.waitFor = r.safeBack
-				c.split = r.safeBack > basis // a true in-window artificial conflict
-			}
-			cur = &c
-			continue
-		}
-		cur.ws.Merge(r.ws)
-		cur.to = r.version
-	}
-	if cur != nil {
-		out = append(out, *cur)
-	}
-	return out
-}
-
-// applyChunk applies one remote chunk with retries (soft recovery).
-func (p *Proxy) applyChunk(c chunk) {
-	if c.split {
-		p.addStat(func(st *Stats) { st.ArtificialConflicts++ })
-	}
-	if c.waitFor > 0 {
-		if err := p.cfg.Store.WaitAnnounced(c.waitFor, p.cfg.ChunkWaitTimeout); err != nil {
-			// Predecessor never announced (crash path); give up — the
-			// recovery machinery re-applies from the certifier log.
-			return
-		}
-	}
-	p.applyBatchWithRecovery(c.ws, c.from, c.to, true)
-}
-
-// applyBatchWithRecovery applies a merged writeset as one transaction,
-// retrying transient failures (lock conflicts with doomed local
-// transactions, database-side commit rejections) — the §8.1 soft
-// recovery loop. ordered selects CommitOrdered vs CommitLabeled.
-func (p *Proxy) applyBatchWithRecovery(ws *core.Writeset, from, to uint64, ordered bool) error {
+// installRange installs a writeset as one labeled commit covering
+// merged versions (from, to], retrying until it lands: the merged
+// stream is the replica's ground truth and cannot be skipped. Failed
+// attempts are transient — lock conflicts with doomed local
+// transactions, database-side commit rejections — and each retry (the
+// §8.1 soft-recovery loop) first waits for the range's predecessors to
+// publish, so conflicting locks drain. Only a store crash or the
+// proxy's shutdown stops it; it reports whether the range landed.
+func (p *Proxy) installRange(ws *core.Writeset, from, to uint64) bool {
 	p.markInFlight(ws, true)
 	defer p.markInFlight(ws, false)
-	var lastErr error
-	for attempt := 0; attempt < 8; attempt++ {
+	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
+			select {
+			case <-p.stopCh:
+				return false
+			default:
+			}
 			p.addStat(func(st *Stats) { st.SoftRecoveries++ })
-			// Let predecessors finish so conflicting locks drain.
 			p.cfg.Store.WaitAnnounced(from, p.cfg.ChunkWaitTimeout)
 		}
-		p.killConflictingLocals(ws, 0)
-		lastErr = p.applyBatchOnce(ws, from, to, ordered)
-		if lastErr == nil {
-			return nil
+		p.killConflictingLocals(ws)
+		err := p.installOnce(ws, from, to)
+		if err == nil {
+			return true
 		}
-		if errors.Is(lastErr, mvstore.ErrCrashed) {
-			return lastErr
+		if errors.Is(err, mvstore.ErrCrashed) {
+			return false
 		}
 	}
-	return fmt.Errorf("proxy: applying remote writesets (%d,%d]: %w", from, to, lastErr)
 }
 
-func (p *Proxy) applyBatchOnce(ws *core.Writeset, from, to uint64, ordered bool) error {
+// installOnce is one serial install attempt.
+func (p *Proxy) installOnce(ws *core.Writeset, from, to uint64) error {
 	if ws.Empty() {
-		// A certifier barrier (no-op) version: nothing to install, but
-		// the announce chain must still advance through it or every
+		// Versions that install nothing (barriers, fills, 2PC entries):
+		// the announce chain must still advance through them or every
 		// later version would wait forever.
-		if ordered {
-			if err := p.cfg.Store.WaitAnnounced(from, p.cfg.ChunkWaitTimeout); err != nil {
-				return err
-			}
-		}
 		p.cfg.Store.SetAnnounced(to)
 		return nil
 	}
@@ -459,289 +58,9 @@ func (p *Proxy) applyBatchOnce(ws *core.Writeset, from, to uint64, ordered bool)
 		tx.Abort()
 		return err
 	}
-	if ordered {
-		err = tx.CommitOrdered(from, to)
-	} else {
-		err = tx.CommitLabeled(from, to)
-	}
-	if err != nil {
+	if err := tx.CommitLabeled(from, to); err != nil {
 		tx.Abort()
 		return err
 	}
-	return nil
-}
-
-// applyLocalByWriteset commits a certified local transaction by
-// re-applying its writeset (used on the degraded post-resync path
-// where the original handle cannot follow the normal pipeline).
-func (p *Proxy) applyLocalByWriteset(t *Tx, commitVersion uint64) {
-	ws := t.inner.Writeset().Clone()
-	t.inner.Abort()
-	if p.applyOwnCommit(ws, commitVersion) {
-		p.advanceRV(commitVersion)
-		p.addStat(func(st *Stats) { st.Commits++ })
-	}
-}
-
-// applyOwnCommit installs a certified local writeset on the degraded
-// path (sequencer gap, stale slot, detached commit), reporting whether
-// the replica's state now covers commitVersion. It first waits for the
-// commit's predecessors to be applied: the labeled commit announces
-// commitVersion, and announcing past versions this replica never
-// installed would make every later resync skip them — a permanent
-// hole. A missing predecessor is fetched by resync (which includes our
-// own writesets); if the state already moved past commitVersion, the
-// store's labeled-commit gate turns the apply into a no-op rather than
-// regressing newer versions.
-//
-// On false the caller must NOT advance the planning cursor past
-// commitVersion: leaving it behind is what makes the next staleness
-// pull refetch the uncovered range and heal the gap.
-func (p *Proxy) applyOwnCommit(ws *core.Writeset, commitVersion uint64) bool {
-	for attempt := 0; attempt < 3; attempt++ {
-		err := p.cfg.Store.WaitAnnounced(commitVersion-1, p.cfg.SeqTimeout)
-		if err == nil {
-			if p.applyBatchWithRecovery(ws, commitVersion-1, commitVersion, false) == nil {
-				return true
-			}
-		} else if errors.Is(err, mvstore.ErrCrashed) {
-			return false
-		}
-		// Predecessors lost with their responses (or the apply itself
-		// failed): fetch the range from the certifier. The resync
-		// includes our own writesets, so reaching commitVersion covers
-		// this commit too.
-		if p.Resync() == nil && p.cfg.Store.AnnouncedVersion() >= commitVersion {
-			return true
-		}
-	}
-	// Give up without applying: installing over missing predecessors
-	// would announce past versions this replica does not hold, hiding
-	// them from every future resync. The writeset is durable in the
-	// certifier log, and with the planning cursor left below it the
-	// background pulls refetch and heal the range.
-	return false
-}
-
-// finishDetached resolves a certification response whose client
-// abandoned the commit (context cancellation mid-round-trip): it takes
-// the response's slot in the replica sequence, applies the grouped
-// remote writesets, and — if the certifier committed the transaction —
-// re-applies the local writeset from its encoded form, exactly like
-// the soft-recovery path. Serial labeled application is used in every
-// mode; this is the degraded path, correctness over pipelining.
-func (p *Proxy) finishDetached(resp certifier.Response, ws *core.Writeset) {
-	gen, err := p.enterSeq(resp.SeqEpoch, resp.ReplicaSeq)
-	if err != nil {
-		p.handleSeqFailure(err, gen, resp.ReplicaSeq)
-		if resp.Committed {
-			if p.applyOwnCommit(ws, resp.CommitVersion) {
-				p.advanceRV(resp.CommitVersion)
-				p.addStat(func(st *Stats) { st.Commits++ })
-			}
-		} else {
-			p.addStat(func(st *Stats) { st.CertAborts++ })
-		}
-		return
-	}
-	defer p.seq.exit(gen, resp.ReplicaSeq)
-
-	p.mu.Lock()
-	basis := p.rvPlanned
-	p.mu.Unlock()
-	remotes, err := p.decodeRemotes(resp.Remote, basis)
-	if err != nil {
-		// Nobody observes a detached failure: resync (IncludeOwn) or
-		// this replica permanently loses the response's writesets.
-		p.Resync()
-		return
-	}
-	maxRemote := basis
-	if len(remotes) > 0 {
-		merged := &core.Writeset{}
-		for _, r := range remotes {
-			merged.Merge(r.ws)
-			if r.version > maxRemote {
-				maxRemote = r.version
-			}
-		}
-		if err := p.applyBatchWithRecovery(merged, basis, maxRemote, false); err != nil {
-			p.Resync()
-			return
-		}
-		p.recordRemotes(remotes)
-		p.addStat(func(st *Stats) {
-			st.RemoteApplied += int64(len(remotes))
-			st.RemoteChunks++
-		})
-	}
-	if !resp.Committed {
-		p.advanceRV(maxRemote)
-		p.addStat(func(st *Stats) { st.CertAborts++ })
-		return
-	}
-	if err := p.applyBatchWithRecovery(ws, maxRemote, resp.CommitVersion, false); err != nil {
-		p.Resync()
-		return
-	}
-	p.advanceRV(resp.CommitVersion)
-	p.addStat(func(st *Stats) { st.Commits++ })
-}
-
-// SetReplicaVersion initializes the planning cursor after recovery
-// (the database state already covers versions up to v).
-func (p *Proxy) SetReplicaVersion(v uint64) { p.advanceRV(v) }
-
-// advanceRV raises the planning cursor.
-func (p *Proxy) advanceRV(v uint64) {
-	p.mu.Lock()
-	if v > p.rvPlanned {
-		p.rvPlanned = v
-	}
-	p.mu.Unlock()
-}
-
-func (p *Proxy) addStat(f func(*Stats)) {
-	p.mu.Lock()
-	f(&p.stats)
-	p.mu.Unlock()
-}
-
-// handleSeqFailure recovers from a broken response sequence (lost
-// responses after certifier failover): declare the gap lost, pull
-// everything from the certifier and apply it serially — always safe
-// because writesets carry absolute values.
-func (p *Proxy) handleSeqFailure(cause error, gen, seq uint64) {
-	if errors.Is(cause, errStaleSeq) {
-		return // slot skipped by a resync; that resync already applied the state
-	}
-	if errors.Is(cause, errEpochReset) {
-		// The response's remote writesets belong to a superseded
-		// numbering and nothing else will apply them: pull the gap from
-		// the new leader before the caller applies its own writeset and
-		// announces past the hole.
-		p.Resync()
-		return
-	}
-	p.seq.skipTo(gen, seq+1)
-	p.Resync()
-}
-
-// Resync pulls all missing remote writesets and applies them serially,
-// bringing the replica to the certifier's committed version. Used
-// after crashes, failovers and sequence gaps.
-//
-// The catch-up basis is the store's *applied* watermark (the announce
-// semaphore), not the planning cursor: after lost responses the
-// planning cursor may sit above versions whose writesets never reached
-// this replica — pulling from it would leave permanent holes. Entries
-// the normal appliers did apply (or apply concurrently while this
-// resync runs) are skipped by the store's labeled-commit gate, so
-// overlapping with in-flight appliers is safe.
-func (p *Proxy) Resync() error {
-	if p.part != nil {
-		return p.resyncPartitioned()
-	}
-	p.addStat(func(st *Stats) { st.Resyncs++ })
-	if p.sched != nil {
-		// Withdraw installed-but-unpublished commits first: stuck
-		// pendings hold row locks without a timeout, and this serial
-		// catch-up needs those rows. Their ranges lie above the
-		// announce cursor, so the pull below re-fetches them.
-		p.cfg.Store.CancelPendings()
-	}
-	basis := p.cfg.Store.AnnouncedVersion()
-	resp, err := p.cfg.Cert.Pull(certifier.PullRequest{
-		Origin:         p.cfg.ReplicaID,
-		ReplicaVersion: basis,
-		IncludeOwn:     true, // our own writesets were lost with the crash
-	})
-	if err != nil {
-		return err
-	}
-	if resp.SystemVersion < basis {
-		// A leader that knows less than we do — typically a freshly
-		// restarted or just-elected node whose commit index has not
-		// caught up with its log (it cannot finalize a previous term's
-		// tail until an entry of its own term commits). Treating its
-		// empty answer as success would declare the gap healed without
-		// fetching anything; fail so the caller retries.
-		return fmt.Errorf("proxy: resync answered by a certifier at version %d, behind our %d",
-			resp.SystemVersion, basis)
-	}
-	remotes, err := p.decodeRemotes(resp.Remote, basis)
-	if err != nil {
-		return err
-	}
-	cur := basis
-	for _, r := range remotes {
-		if err := p.applyBatchWithRecovery(r.ws, cur, r.version, false); err != nil {
-			return err
-		}
-		cur = r.version
-		p.addStat(func(st *Stats) { st.RemoteApplied++ })
-	}
-	// The announce semaphore advanced with each applied entry; never
-	// jump it past versions that were not applied here.
-	p.advanceRV(cur)
-	p.recordRemotes(remotes)
-	return nil
-}
-
-// applyResponse is the sequenced application path shared by PullOnce.
-func (p *Proxy) applyResponse(epoch, seq uint64, remote []certifier.RemoteWS) error {
-	gen, err := p.enterSeq(epoch, seq)
-	if err != nil {
-		p.handleSeqFailure(err, gen, seq)
-		return nil
-	}
-	defer p.seq.exit(gen, seq)
-	p.mu.Lock()
-	basis := p.rvPlanned
-	p.mu.Unlock()
-	remotes, err := p.decodeRemotes(remote, basis)
-	if err != nil {
-		return err
-	}
-	if len(remotes) == 0 {
-		return nil
-	}
-	maxRemote := basis
-	if p.cfg.Mode == TashkentAPI {
-		chunks := buildChunks(basis, p.cfg.Store.AnnouncedVersion(), remotes)
-		for _, c := range chunks {
-			if c.to > maxRemote {
-				maxRemote = c.to
-			}
-		}
-		p.advanceRV(maxRemote)
-		p.recordRemotes(remotes)
-		if p.sched != nil {
-			p.sched.submitChunks(chunks) // still inside the sequencer slot
-			return nil
-		}
-		for _, c := range chunks {
-			c := c
-			p.wg.Add(1)
-			go func() {
-				defer p.wg.Done()
-				p.applyChunk(c)
-			}()
-		}
-		return nil
-	}
-	merged := &core.Writeset{}
-	for _, r := range remotes {
-		merged.Merge(r.ws)
-		if r.version > maxRemote {
-			maxRemote = r.version
-		}
-	}
-	if err := p.applyBatchWithRecovery(merged, basis, maxRemote, false); err != nil {
-		return err
-	}
-	p.advanceRV(maxRemote)
-	p.recordRemotes(remotes)
-	p.addStat(func(st *Stats) { st.RemoteApplied += int64(len(remotes)); st.RemoteChunks++ })
 	return nil
 }

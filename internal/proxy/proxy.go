@@ -1,22 +1,32 @@
 // Package proxy implements the transparent middleware proxy that sits
 // in front of each database replica (paper §6.2): it intercepts BEGIN
 // and COMMIT, tracks the replica version, invokes certification, and
-// applies remote writesets — in one of three commit strategies:
+// applies the certifier's committed stream.
+//
+// Every replica runs one commit pipeline (see pipeline.go). Commits
+// certify against the certifier group that owns their keys; the
+// committed entries of every group — the replica's own included —
+// reach a single merger goroutine, which rebuilds the global order
+// (with one group, simply the log order) and is the replica's only
+// announcer. A committing client waits for its own entry's merged
+// position and commits through its transaction handle there. The
+// three systems compared in the paper are three durability points on
+// that pipeline:
 //
 //   - Base: ordering in the middleware, durability in the database.
-//     Remote-writeset batches and local commits are submitted
-//     *serially*, each paying its own synchronous WAL flush — the
+//     The merger installs runs of remote entries and each own commit
+//     serially, each paying its own synchronous WAL flush — the
 //     scalability bottleneck the paper identifies.
-//   - Tashkent-MW: same serial submission, but the database runs with
-//     synchronous writes disabled; durability lives in the certifier's
-//     group-committed log. Replica commits are in-memory operations.
-//   - Tashkent-API: the database keeps durability but the proxy uses
-//     the extended COMMIT <seq> API, submitting remote batches and
-//     local commits concurrently so the database groups their commit
-//     records into shared fsyncs while announcing them in the exact
-//     global order. Artificial conflicts between remote writesets
-//     (§5.2.1) are detected via the certifier's safe-back annotations
-//     and force partial serialization.
+//   - Tashkent-MW: the same serial installs, but the database runs
+//     with synchronous writes disabled; durability lives in the
+//     certifier's group-committed log, so replica commits are
+//     in-memory operations.
+//   - Tashkent-API: the database keeps durability, but installs go
+//     through the dependency-tracked parallel applier (schedule.go):
+//     own commits and coalesced runs of remote entries log their
+//     commit records concurrently, so the database groups them into
+//     shared fsyncs, while publication follows the global order
+//     exactly (the extended COMMIT <seq> API of §5.2).
 //
 // The proxy also implements the paper's optimizations: local
 // certification (§6.2), eager pre-certification for deadlock avoidance
@@ -68,7 +78,10 @@ func (m Mode) String() string {
 // the whole transaction.
 var ErrCertificationAbort = errors.New("proxy: transaction aborted by certification")
 
-// ErrProxyClosed reports use of a closed proxy.
+// ErrProxyClosed reports use of a closed proxy. A commit that was
+// still waiting for its merged position when the proxy closed fails
+// with an error matching both ErrProxyClosed and mvstore.ErrCrashed:
+// the replica went away under the commit, and its outcome is unknown.
 var ErrProxyClosed = errors.New("proxy: closed")
 
 // ErrReadOnlyDegraded reports that the certifier tier is unreachable
@@ -99,19 +112,18 @@ func deadlineNano(ctx context.Context) int64 {
 
 // Stats is a snapshot of proxy activity.
 type Stats struct {
-	Commits             int64
-	ReadOnlyCommits     int64
-	CertAborts          int64 // certifier-decided aborts
-	LocalCertAborts     int64 // aborts decided locally without a round trip
-	RemoteApplied       int64 // remote writesets applied
-	RemoteChunks        int64 // grouped remote transactions submitted
-	ArtificialConflicts int64 // chunk splits forced by safe-back info
-	EagerKills          int64 // local transactions killed to admit remote writesets
-	SoftRecoveries      int64 // §8.1 soft-recovery rounds
-	Resyncs             int64 // full pull-based resynchronizations
-	StalenessPulls      int64
-	CrossPartCommits    int64 // cross-partition transactions committed (partitioned mode)
-	CrossPartAborts     int64 // cross-partition transactions aborted in prepare
+	Commits          int64
+	ReadOnlyCommits  int64
+	CertAborts       int64 // certifier-decided aborts
+	LocalCertAborts  int64 // aborts decided locally without a round trip
+	RemoteApplied    int64 // writesets installed from the certifier stream
+	RemoteChunks     int64 // coalesced runs of stream entries installed as one commit
+	EagerKills       int64 // local transactions killed to admit stream writesets
+	SoftRecoveries   int64 // §8.1 soft-recovery rounds
+	Resyncs          int64 // full pull-based resynchronizations
+	StalenessPulls   int64
+	CrossPartCommits int64 // cross-partition transactions committed
+	CrossPartAborts  int64 // cross-partition transactions aborted in prepare
 }
 
 // Config parameterizes a proxy.
@@ -119,40 +131,33 @@ type Config struct {
 	Mode      Mode
 	ReplicaID int
 	Store     *mvstore.Store
-	Cert      *certifier.Client
+	// Cert is the client of a single certifier group; New serves it as
+	// a one-group topology. Ignored when Parts is set.
+	Cert *certifier.Client
 	// LocalCertification enables the proxy-side pre-check against
-	// recently seen remote writesets.
+	// recently merged stream entries.
 	LocalCertification bool
 	// EagerPreCert kills conflicting local transactions before
-	// applying a remote writeset instead of relying on lock timeouts.
+	// installing a stream writeset instead of relying on lock timeouts.
+	// Transactions already in their commit phase are killed either way
+	// (see killConflictingLocals).
 	EagerPreCert bool
-	// StalenessBound, if nonzero, pulls remote writesets from the
-	// certifier after this much idle time.
+	// StalenessBound, if nonzero, pulls committed entries from the
+	// certifiers after this much idle time.
 	StalenessBound time.Duration
-	// SeqTimeout bounds how long a response waits for its turn in the
-	// per-replica sequence before triggering a resync (0 = 5 s).
-	SeqTimeout time.Duration
-	// SeqObserver, if set, is told the outcome of every response-
-	// sequence admission: "apply" (slot taken, state will be applied),
-	// "stale" (already covered by a resync), "epoch-reset" (response
-	// from a superseded leadership term) or "gap-timeout" (a
-	// predecessor was lost; a resync follows). The chaos invariant
-	// checker verifies per-origin sequencing from this stream.
-	SeqObserver func(epoch, seq uint64, outcome string)
-	// ChunkWaitTimeout bounds artificial-conflict waits (0 = 5 s).
+	// ChunkWaitTimeout bounds each wait for predecessors to publish
+	// between install retries (0 = 5 s).
 	ChunkWaitTimeout time.Duration
-	// ApplyWorkers, when > 1, enables the dependency-tracked parallel
-	// applier (see schedule.go): labeled remote writesets are
-	// conflict-analyzed per store stripe, installed concurrently by
-	// this many workers, and published strictly in global order.
-	// Effective in Tashkent-API and partitioned modes; Base and
-	// Tashkent-MW keep the paper's serial apply discipline.
+	// ApplyWorkers sets the width of the dependency-tracked parallel
+	// applier (see schedule.go). Tashkent-API always runs it — its
+	// concurrent installs are what share fsyncs — with
+	// defaultAPIWorkers when ApplyWorkers is 0; the other modes run it
+	// when ApplyWorkers > 1 and otherwise keep the paper's serial apply
+	// discipline.
 	ApplyWorkers int
-	// Parts, when set, switches the proxy to partitioned certification
-	// (see internal/partition): commits route by partition across the
-	// topology's certifier groups, and Cert is ignored. Requires
-	// EagerPreCert (the merger must be able to displace local
-	// transactions holding locks it needs).
+	// Parts is the certifier topology of a partitioned deployment (see
+	// internal/partition): commits route by partition across its
+	// groups.
 	Parts *partition.Topology
 }
 
@@ -161,33 +166,27 @@ type Proxy struct {
 	cfg Config
 
 	mu         sync.Mutex
-	rvPlanned  uint64 // highest global version scheduled for application
 	lastRemote time.Time
 	committing map[uint64]struct{} // store tx ids in their commit phase
 	stats      Stats
 	closed     bool
 
-	seq *sequencer
-
-	// proxyLog: recent remote writesets for local certification, plus
-	// the items of remote writesets currently mid-application (for
-	// eager pre-certification of local writes).
+	// Local-certification log of recently merged entries, plus the
+	// items of stream writesets currently mid-installation (for eager
+	// pre-certification of local writes).
 	logMu         sync.Mutex
 	recent        []remoteRecord
 	inFlightItems map[core.ItemID]int
-	// applierTxs are the store transaction ids of in-flight remote/
-	// catch-up appliers. Eager pre-certification must never pick one
-	// as a kill victim: appliers install *committed* global state, and
-	// two overlapping appliers (a pending chunk and a resync) killing
-	// each other livelock until both exhaust their retries and drop
-	// committed writesets. Appliers serialize on row locks and the
+	// applierTxs are the store transaction ids of in-flight stream
+	// installers. Eager pre-certification must never pick one as a
+	// kill victim: appliers install *committed* global state, and two
+	// overlapping appliers killing each other livelock until both
+	// exhaust their retries. Appliers serialize on row locks and the
 	// store's labeled-commit gate instead.
 	applierTxs map[uint64]struct{}
 
-	// part is the partitioned-certification state (nil in classic mode).
-	part *partState
-
-	// sched is the parallel applier (nil = serial legacy path).
+	merge *mergeState
+	// sched is the parallel applier (nil = serial installs).
 	sched *applyScheduler
 
 	stopCh chan struct{}
@@ -199,34 +198,43 @@ type remoteRecord struct {
 	items   []core.ItemID
 }
 
-// maxRecent bounds the proxy log used for local certification.
+// maxRecent is how many merged entries the local-certification log
+// keeps at least (it holds at most a quarter more).
 const maxRecent = 4096
 
-// New creates a proxy and starts its staleness-bounding loop.
+// defaultAPIWorkers is the Tashkent-API applier width when
+// Config.ApplyWorkers is unset. Each install holds its worker through
+// one replica fsync, so the width is also how many remote installs can
+// share one.
+const defaultAPIWorkers = 8
+
+// New creates a proxy and starts its merger and staleness-bounding
+// loops.
 func New(cfg Config) *Proxy {
-	if cfg.SeqTimeout == 0 {
-		cfg.SeqTimeout = 5 * time.Second
-	}
 	if cfg.ChunkWaitTimeout == 0 {
 		cfg.ChunkWaitTimeout = 5 * time.Second
 	}
+	if cfg.Parts == nil {
+		cfg.Parts = &partition.Topology{Map: partition.Map{N: 1}, Groups: []*certifier.Client{cfg.Cert}}
+	}
 	p := &Proxy{
 		cfg:           cfg,
-		seq:           newSequencer(),
 		committing:    make(map[uint64]struct{}),
 		inFlightItems: make(map[core.ItemID]int),
 		applierTxs:    make(map[uint64]struct{}),
 		lastRemote:    time.Now(),
 		stopCh:        make(chan struct{}),
+		merge:         newMergeState(cfg.Parts),
 	}
-	if cfg.ApplyWorkers > 1 && (cfg.Mode == TashkentAPI || cfg.Parts != nil) {
-		p.sched = newApplyScheduler(p, cfg.ApplyWorkers)
+	workers := cfg.ApplyWorkers
+	if cfg.Mode == TashkentAPI && workers == 0 {
+		workers = defaultAPIWorkers
 	}
-	if cfg.Parts != nil {
-		p.part = newPartState(cfg.Parts)
-		p.wg.Add(1)
-		go p.mergerLoop()
+	if cfg.Mode == TashkentAPI || workers > 1 {
+		p.sched = newApplyScheduler(p, workers)
 	}
+	p.wg.Add(1)
+	go p.mergerLoop()
 	if cfg.StalenessBound > 0 {
 		p.wg.Add(1)
 		go p.stalenessLoop()
@@ -244,6 +252,7 @@ func (p *Proxy) Close() {
 	p.closed = true
 	p.mu.Unlock()
 	close(p.stopCh)
+	p.merge.broadcast() // wake a Resync waiting for the merge
 	if p.sched != nil {
 		p.sched.stop()
 	}
@@ -257,12 +266,12 @@ func (p *Proxy) Stats() Stats {
 	return p.stats
 }
 
-// ReplicaVersion returns the highest global version scheduled at this
-// replica.
+// ReplicaVersion returns the merged version through which this
+// replica has applied the certifier stream.
 func (p *Proxy) ReplicaVersion() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.rvPlanned
+	p.merge.mu.Lock()
+	defer p.merge.mu.Unlock()
+	return p.merge.mergedApplied
 }
 
 // Tx is a client transaction handle mediated by the proxy.
@@ -270,8 +279,9 @@ type Tx struct {
 	p     *Proxy
 	inner *mvstore.Tx
 	start uint64
-	// observed is the announced version sampled *after* the snapshot
-	// was taken: an upper bound on everything the snapshot can expose.
+	// observed is the store's visible ceiling sampled *after* the
+	// snapshot was taken: an upper bound on everything the snapshot can
+	// expose.
 	// The conservative start label is what certification wants, but a
 	// session's causal token must cover the snapshot's actual content —
 	// a commit announced between the two samples is visible in the
@@ -283,8 +293,8 @@ type Tx struct {
 	// record their observed version: the causal token of a session that
 	// only read must still cover everything the snapshot exposed.
 	commitVersion uint64
-	// startVec is the per-group start vector in partitioned mode: the
-	// snapshot's conservative position in each group's version space.
+	// startVec is the per-group start vector: the snapshot's
+	// conservative position in each group's version space.
 	startVec []uint64
 }
 
@@ -293,8 +303,8 @@ type Tx struct {
 func (t *Tx) SnapshotVersion() uint64 { return t.start }
 
 // ObservedVersion returns the version ceiling of the transaction's
-// snapshot — the announced version sampled just after the snapshot was
-// taken. Sessions use it to advance their causal token on reads and
+// snapshot — the store's visible ceiling sampled just after the
+// snapshot was taken. Sessions use it to advance their causal token on reads and
 // aborts: it covers everything the snapshot exposed, at worst
 // over-approximating (which only lengthens a later causal wait).
 func (t *Tx) ObservedVersion() uint64 { return t.observed }
@@ -316,30 +326,27 @@ func (p *Proxy) Begin() (*Tx, error) {
 		return nil, ErrProxyClosed
 	}
 	p.mu.Unlock()
-	var startVec []uint64
-	if p.part != nil {
-		// Sampled before the snapshot, like start: the vector advances
-		// only after a merged version is announced, so each component is
-		// a conservative label in its group's version space.
-		startVec = p.startVecLocked()
-	}
+	// Sampled before the snapshot, like start: the vector advances only
+	// after a merged version is announced, so each component is a
+	// conservative label in its group's version space.
+	startVec := p.merge.startVec()
 	start := p.cfg.Store.AnnouncedVersion()
 	inner, err := p.cfg.Store.Begin()
 	if err != nil {
 		return nil, err
 	}
-	tx := &Tx{p: p, inner: inner, start: start, observed: p.cfg.Store.AnnouncedVersion(), startVec: startVec}
+	tx := &Tx{p: p, inner: inner, start: start, observed: p.cfg.Store.VisibleCeiling(), startVec: startVec}
 	if p.cfg.EagerPreCert {
-		inner.SetWriteHook(p.preCertHook(inner))
+		inner.SetWriteHook(p.preCertHook())
 	}
 	return tx, nil
 }
 
 // preCertHook is the eager pre-certification write hook: each local
-// write is checked against the remote writesets currently being
-// applied; a conflict aborts the local write immediately (the remote
-// writeset must win, §8.2).
-func (p *Proxy) preCertHook(inner *mvstore.Tx) mvstore.WriteHook {
+// write is checked against the stream writesets currently being
+// installed; a conflict aborts the local write immediately (the
+// committed writeset must win, §8.2).
+func (p *Proxy) preCertHook() mvstore.WriteHook {
 	return func(op core.WriteOp) error {
 		if p.remoteInFlightConflicts(op.Item()) {
 			return fmt.Errorf("%w: eager pre-certification against in-flight remote writeset", ErrCertificationAbort)
@@ -390,17 +397,18 @@ func (t *Tx) Commit() error { return t.CommitCtx(context.Background()) }
 
 // CommitCtx intercepts COMMIT (paper §6.2 step C): read-only
 // transactions commit immediately; update transactions go through
-// certification and the mode's commit strategy.
+// local certification, then certification by the groups owning their
+// keys, then wait for their merged position on this replica.
 //
 // Cancellation semantics: ctx is honored before and during the
 // certification round trip. If ctx expires while certification is in
-// flight, CommitCtx aborts the local handle and returns ctx.Err(),
-// but — as with any distributed commit — the certifier may still have
-// committed the transaction; the proxy then finishes applying it in
-// the background so the replica sequence stays intact, and the caller
-// must treat the outcome as unknown. Once the certifier's decision has
-// arrived the remaining local work completes regardless of ctx (it is
-// bounded by the proxy's own timeouts).
+// flight, CommitCtx aborts the local handle and returns an error, but
+// — as with any distributed commit — the certifier may still have
+// committed the transaction; the caller must treat the outcome as
+// unknown. A committed entry reaches this replica through the stream
+// like any other, so no hole results. Once the certifier's decision
+// has arrived the remaining local work completes regardless of ctx
+// (it is bounded by the proxy's own timeouts).
 func (t *Tx) CommitCtx(ctx context.Context) error {
 	if t.done {
 		return mvstore.ErrTxDone
@@ -417,125 +425,29 @@ func (t *Tx) CommitCtx(ctx context.Context) error {
 			return err
 		}
 		t.commitVersion = t.observed
-		p.mu.Lock()
-		p.stats.ReadOnlyCommits++
-		p.mu.Unlock()
+		p.addStat(func(st *Stats) { st.ReadOnlyCommits++ })
 		return nil
 	}
 
-	if p.part != nil {
-		// Partitioned mode: route by partition. Local certification and
-		// the response sequencer do not apply — entries are addressed by
-		// (group, index) and ordered by the deterministic merge.
-		p.markCommitting(t.inner.ID(), true)
-		defer p.markCommitting(t.inner.ID(), false)
-		return p.commitPartitioned(ctx, t, ws)
-	}
-
-	// Local certification (§6.2): a conflict with an already-received
-	// remote writeset aborts without bothering the certifier.
+	// Local certification (§6.2): a conflict with an already-merged
+	// entry aborts without bothering the certifier.
 	if p.cfg.LocalCertification && p.localConflict(ws, t.start) {
 		t.inner.Abort()
-		p.mu.Lock()
-		p.stats.LocalCertAborts++
-		p.mu.Unlock()
+		p.addStat(func(st *Stats) { st.LocalCertAborts++ })
 		return fmt.Errorf("%w (local certification)", ErrCertificationAbort)
 	}
 
-	req := certifier.Request{
-		Origin:         p.cfg.ReplicaID,
-		StartVersion:   t.start,
-		ReplicaVersion: p.ReplicaVersion(),
-		WSBytes:        ws.Encode(nil),
-		NeedSafeBack:   p.cfg.Mode == TashkentAPI,
-		Deadline:       deadlineNano(ctx),
-	}
 	p.markCommitting(t.inner.ID(), true)
 	defer p.markCommitting(t.inner.ID(), false)
-
-	switch p.cfg.Mode {
-	case Base, TashkentMW:
-		return p.commitSerial(ctx, t, req)
-	case TashkentAPI:
-		return p.commitOrdered(ctx, t, req)
-	default:
-		t.inner.Abort()
-		return fmt.Errorf("proxy: invalid mode %d", p.cfg.Mode)
+	parts := p.merge.topo.Map.Split(ws)
+	if len(parts) == 1 {
+		return p.commitSinglePartition(ctx, t, ws, parts[0].PID)
 	}
+	return p.commitCrossPartition(ctx, t, ws, parts)
 }
 
-// certifyGrace is how far past the caller's deadline the detached
-// certification RPC keeps trying to learn the real decision before
-// giving up (the caller has already been answered with ctx.Err()).
-const certifyGrace = 500 * time.Millisecond
-
-// certify runs the certification round trip, honoring ctx. On
-// cancellation the local handle is aborted and the eventual response —
-// which may carry a commit decision — is resolved by a detached
-// finisher so no sequence gap or lost writeset results.
-func (p *Proxy) certify(ctx context.Context, t *Tx, req certifier.Request) (certifier.Response, error) {
-	if ctx.Done() == nil {
-		resp, err := p.cfg.Cert.Certify(req)
-		if err != nil {
-			t.inner.Abort()
-			return resp, certError(err)
-		}
-		return resp, nil
-	}
-	// The RPC runs on a context of its own: an explicit caller cancel
-	// must not kill the call mid-flight (the decision may exist and the
-	// detached finisher needs it), but a caller deadline bounds it with
-	// a small grace — the server drops the request at the deadline too,
-	// so spinning out the client's full retry budget for a dead caller
-	// would only occupy a failover slot.
-	callCtx := context.Background()
-	cancel := func() {}
-	if d, ok := ctx.Deadline(); ok {
-		callCtx, cancel = context.WithDeadline(context.Background(), d.Add(certifyGrace))
-	}
-	type outcome struct {
-		resp certifier.Response
-		err  error
-	}
-	ch := make(chan outcome, 1)
-	go func() {
-		defer cancel()
-		resp, err := p.cfg.Cert.CertifyCtx(callCtx, req)
-		ch <- outcome{resp, err}
-	}()
-	select {
-	case o := <-ch:
-		if o.err != nil {
-			t.inner.Abort()
-			return o.resp, certError(o.err)
-		}
-		return o.resp, nil
-	case <-ctx.Done():
-		ws := req.MustWriteset()
-		t.inner.Abort()
-		// Register the finisher under p.mu so it cannot race Close's
-		// wg.Wait (wg.Add concurrent with Wait is WaitGroup misuse).
-		// After Close nobody may touch the store, so drop the decision.
-		p.mu.Lock()
-		if p.closed {
-			p.mu.Unlock()
-			return certifier.Response{}, ctx.Err()
-		}
-		p.wg.Add(1)
-		p.mu.Unlock()
-		go func() {
-			defer p.wg.Done()
-			o := <-ch
-			if o.err == nil {
-				p.finishDetached(o.resp, ws)
-			}
-		}()
-		return certifier.Response{}, ctx.Err()
-	}
-}
-
-// markCommitting tracks transactions in their commit phase so eager
-// pre-certification never kills a transaction that already certified.
+// markCommitting tracks transactions in their commit phase (see
+// killConflictingLocals).
 func (p *Proxy) markCommitting(id uint64, on bool) {
 	p.mu.Lock()
 	if on {
@@ -546,9 +458,16 @@ func (p *Proxy) markCommitting(id uint64, on bool) {
 	p.mu.Unlock()
 }
 
-// localConflict checks ws against remote writesets received with
-// versions in (start, now]; finding one proves the certifier would
-// abort.
+// isCommitting reports whether id is in its commit phase.
+func (p *Proxy) isCommitting(id uint64) bool {
+	p.mu.Lock()
+	_, ok := p.committing[id]
+	p.mu.Unlock()
+	return ok
+}
+
+// localConflict checks ws against merged entries with versions in
+// (start, now]; finding one proves the certifier would abort.
 func (p *Proxy) localConflict(ws *core.Writeset, start uint64) bool {
 	items := make(map[core.ItemID]struct{}, len(ws.Ops))
 	for i := range ws.Ops {
@@ -570,50 +489,30 @@ func (p *Proxy) localConflict(ws *core.Writeset, start uint64) bool {
 	return false
 }
 
-// recordRemotes adds applied remote writesets to the proxy log.
-func (p *Proxy) recordRemotes(remotes []appliedRemote) {
-	if len(remotes) == 0 {
+// recordMerged adds a drained run of merged actions to the local-
+// certification log, labeled by merged version. Every committed entry
+// counts, whatever its origin: any of them intersecting a later
+// commit's writeset inside its snapshot window dooms that commit.
+func (p *Proxy) recordMerged(acts []partition.Action) {
+	if !p.cfg.LocalCertification {
 		return
 	}
 	p.logMu.Lock()
-	for _, r := range remotes {
-		p.recent = append(p.recent, remoteRecord{version: r.version, items: r.ws.Items()})
+	for _, a := range acts {
+		if a.WS != nil {
+			p.recent = append(p.recent, remoteRecord{version: a.MV, items: a.WS.Items()})
+		}
 	}
-	if over := len(p.recent) - maxRecent; over > 0 {
-		p.recent = append([]remoteRecord(nil), p.recent[over:]...)
+	if len(p.recent) >= maxRecent+maxRecent/4 {
+		// Trim in quarters: a copy per drain once full would move the
+		// whole log on every commit.
+		p.recent = append([]remoteRecord(nil), p.recent[len(p.recent)-maxRecent:]...)
 	}
 	p.logMu.Unlock()
-	p.mu.Lock()
-	p.lastRemote = time.Now()
-	p.mu.Unlock()
-}
-
-type appliedRemote struct {
-	version  uint64
-	safeBack uint64
-	ws       *core.Writeset
-}
-
-// decodeRemotes parses and filters the response's remote writesets to
-// those above the replica's planned version.
-func (p *Proxy) decodeRemotes(remote []certifier.RemoteWS, above uint64) ([]appliedRemote, error) {
-	out := make([]appliedRemote, 0, len(remote))
-	for _, r := range remote {
-		if r.Version <= above {
-			continue
-		}
-		ws, _, err := core.DecodeWriteset(r.WSBytes)
-		if err != nil {
-			return nil, fmt.Errorf("proxy: corrupt remote writeset v%d: %w", r.Version, err)
-		}
-		out = append(out, appliedRemote{version: r.Version, safeBack: r.SafeBack, ws: ws})
-	}
-	return out, nil
 }
 
 // remoteInFlightConflicts reports whether an item collides with a
-// remote writeset currently being applied (set by the chunk/batch
-// appliers).
+// stream writeset currently being installed.
 func (p *Proxy) remoteInFlightConflicts(item core.ItemID) bool {
 	p.logMu.Lock()
 	defer p.logMu.Unlock()
@@ -621,8 +520,8 @@ func (p *Proxy) remoteInFlightConflicts(item core.ItemID) bool {
 	return hit
 }
 
-// markInFlight registers (or unregisters) the items of a remote
-// writeset being applied.
+// markInFlight registers (or unregisters) the items of a stream
+// writeset being installed.
 func (p *Proxy) markInFlight(ws *core.Writeset, on bool) {
 	items := ws.Items()
 	p.logMu.Lock()
@@ -638,20 +537,23 @@ func (p *Proxy) markInFlight(ws *core.Writeset, on bool) {
 	p.logMu.Unlock()
 }
 
-// killConflictingLocals applies eager pre-certification from the
-// remote side: local transactions holding locks that a remote writeset
-// needs are killed so the remote writeset can proceed (§8.2 — "the
-// proxy aborts the conflicting local update transaction, which allows
-// the remote writeset to be executed"). A victim that turns out to be
-// globally committed is re-applied from its writeset by the commit
-// path's soft-recovery fallback, so killing is always safe.
-func (p *Proxy) killConflictingLocals(ws *core.Writeset, applierTx uint64) {
-	if !p.cfg.EagerPreCert {
-		return
-	}
-	for _, id := range p.cfg.Store.ConflictingActiveTxns(ws, applierTx) {
+// killConflictingLocals clears the way for a stream writeset: local
+// transactions holding locks it needs are killed so it can proceed.
+// With eager pre-certification every conflicting local is a victim
+// (§8.2 — "the proxy aborts the conflicting local update transaction,
+// which allows the remote writeset to be executed"). A transaction in
+// its commit phase is a victim in every mode: if it commits, the
+// stream carries its writeset, and the merger installs it from there
+// when the handle is gone — while a merger blocked on its locks could
+// wait for the very entry it is blocking (its own, pulled before its
+// certification response arrived).
+func (p *Proxy) killConflictingLocals(ws *core.Writeset) {
+	for _, id := range p.cfg.Store.ConflictingActiveTxns(ws, 0) {
 		if p.isApplierTx(id) {
 			continue // fellow appliers install committed state; never kill them
+		}
+		if !p.cfg.EagerPreCert && !p.isCommitting(id) {
+			continue
 		}
 		if p.cfg.Store.Kill(id) {
 			p.addStat(func(st *Stats) { st.EagerKills++ })
@@ -679,8 +581,8 @@ func (p *Proxy) isApplierTx(id uint64) bool {
 }
 
 // stalenessLoop implements bounding staleness (§6.2): if the replica
-// has not received remote writesets for the configured bound, pull
-// them proactively.
+// has not received stream entries for the configured bound, pull them
+// proactively.
 func (p *Proxy) stalenessLoop() {
 	defer p.wg.Done()
 	tick := time.NewTicker(p.cfg.StalenessBound)
@@ -701,29 +603,20 @@ func (p *Proxy) stalenessLoop() {
 	}
 }
 
-// PullOnce fetches and applies any missing writesets once. The pull
-// includes this replica's own writesets: a pull covers versions above
-// the replica's planned cursor — versions it provably does not have —
-// and in that range "own" writesets exist only if their commit
-// responses were lost (or the replica is rebuilding after a crash).
-// Excluding them would let the merged apply announce past versions
-// whose data never reached this replica, a permanent hole no later
-// resync could see (the resync basis sits above it).
-func (p *Proxy) PullOnce() error {
-	if p.part != nil {
-		return p.pullOncePartitioned()
+// SetReplicaVersion initializes the apply cursors after recovery: the
+// database state already covers merged versions up to v. A one-group
+// stream resumes right after v, since its merged order is its log
+// order. With several groups v does not say how far each group's
+// stream got, so the merger replays every stream from index 1 and the
+// store's labeled-commit gate turns the covered prefix into no-ops.
+func (p *Proxy) SetReplicaVersion(v uint64) {
+	if len(p.merge.topo.Groups) == 1 {
+		p.merge.resume([]uint64{v})
 	}
-	resp, err := p.cfg.Cert.Pull(certifier.PullRequest{
-		Origin:         p.cfg.ReplicaID,
-		ReplicaVersion: p.ReplicaVersion(),
-		NeedSafeBack:   p.cfg.Mode == TashkentAPI,
-		IncludeOwn:     true,
-	})
-	if err != nil {
-		return err
-	}
+}
+
+func (p *Proxy) addStat(f func(*Stats)) {
 	p.mu.Lock()
-	p.stats.StalenessPulls++
+	f(&p.stats)
 	p.mu.Unlock()
-	return p.applyResponse(resp.SeqEpoch, resp.ReplicaSeq, resp.Remote)
 }

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"tashkent/internal/certifier"
-	"tashkent/internal/core"
 	"tashkent/internal/mvstore"
 	"tashkent/internal/simdisk"
 	"tashkent/internal/transport"
@@ -54,7 +53,6 @@ func newRig(t *testing.T, n int, mode Mode, mutate func(i int, cfg *Config, scfg
 			Cert:               certifier.NewClient([]transport.Client{r.fabric.Dial("cert0")}, 3*time.Second),
 			LocalCertification: true,
 			EagerPreCert:       true,
-			SeqTimeout:         2 * time.Second,
 			ChunkWaitTimeout:   2 * time.Second,
 		}
 		if mutate != nil {
@@ -489,173 +487,48 @@ func TestResyncAfterGap(t *testing.T) {
 	}
 }
 
-func TestBuildChunks(t *testing.T) {
-	mk := func(v, safe uint64) appliedRemote {
-		return appliedRemote{version: v, safeBack: safe,
-			ws: &core.Writeset{Ops: []core.WriteOp{{Kind: core.OpUpdate, Table: "t", Key: fmt.Sprintf("k%d", v)}}}}
-	}
-	// Dense, no conflicts: one chunk.
-	chunks := buildChunks(4, 4, []appliedRemote{mk(5, 0), mk(6, 2), mk(7, 4)})
-	if len(chunks) != 1 || chunks[0].from != 4 || chunks[0].to != 7 || chunks[0].waitFor != 0 {
-		t.Errorf("dense chunks = %+v", chunks)
-	}
-	// Gap at 7 splits.
-	chunks = buildChunks(4, 4, []appliedRemote{mk(5, 0), mk(6, 0), mk(8, 0)})
-	if len(chunks) != 2 || chunks[1].from != 7 || chunks[1].to != 8 {
-		t.Errorf("gap chunks = %+v", chunks)
-	}
-	// Conflict at v7 (safeBack 6 > announced 4) splits with a wait.
-	chunks = buildChunks(4, 4, []appliedRemote{mk(5, 0), mk(6, 0), mk(7, 6)})
-	if len(chunks) != 2 || chunks[1].waitFor != 6 || !chunks[1].split {
-		t.Errorf("conflict chunks = %+v", chunks)
-	}
-	// Conflict below announced needs no wait.
-	chunks = buildChunks(6, 6, []appliedRemote{mk(7, 5), mk(8, 5)})
-	if len(chunks) != 1 || chunks[0].waitFor != 0 {
-		t.Errorf("resolved-conflict chunks = %+v", chunks)
-	}
-	if got := buildChunks(0, 0, nil); got != nil {
-		t.Errorf("empty chunks = %v", got)
-	}
+// methodCounter counts the RPCs that cross the rig's fabric, by
+// method.
+type methodCounter struct {
+	mu    sync.Mutex
+	calls map[string]int
 }
 
-func TestSequencerAnchorsToFirstResponse(t *testing.T) {
-	s := newSequencer()
-	// A fresh (or recovered) proxy anchors to whatever sequence number
-	// it sees first — the certifier's numbering survives restarts.
-	gen, err := s.enter(0, 41, time.Second)
-	if err != nil {
-		t.Fatalf("anchor enter: %v", err)
-	}
-	s.exit(gen, 41)
-	gen, err = s.enter(0, 42, time.Second)
-	if err != nil {
-		t.Fatalf("post-anchor enter: %v", err)
-	}
-	s.exit(gen, 42)
+func (m *methodCounter) Call(from, to, method string, req []byte, deliver func() ([]byte, error)) ([]byte, error) {
+	m.mu.Lock()
+	m.calls[method]++
+	m.mu.Unlock()
+	return deliver()
 }
 
-func TestSequencerOrdersEntries(t *testing.T) {
-	s := newSequencer()
-	gen, err := s.enter(0, 1, time.Second) // anchor at 1
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.exit(gen, 1)
-	var mu sync.Mutex
-	var order []uint64
-	var wg sync.WaitGroup
-	for _, seq := range []uint64{4, 2, 3} {
-		seq := seq
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			gen, err := s.enter(0, seq, time.Second)
-			if err != nil {
-				t.Errorf("enter(%d): %v", seq, err)
-				return
-			}
-			mu.Lock()
-			order = append(order, seq)
-			mu.Unlock()
-			s.exit(gen, seq)
-		}()
-		time.Sleep(5 * time.Millisecond)
-	}
-	wg.Wait()
-	if len(order) != 3 || order[0] != 2 || order[1] != 3 || order[2] != 4 {
-		t.Errorf("order = %v", order)
-	}
+func (m *methodCounter) count(method string) int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.calls[method]
 }
 
-func TestSequencerTimeoutAndStale(t *testing.T) {
-	s := newSequencer()
-	gen, err := s.enter(0, 1, time.Second) // anchor
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.exit(gen, 1)
-	if gen, err = s.enter(0, 5, 30*time.Millisecond); !errors.Is(err, errSeqTimeout) {
-		t.Errorf("gap enter err = %v", err)
-	}
-	s.skipTo(gen, 6)
-	if _, err := s.enter(0, 5, 30*time.Millisecond); !errors.Is(err, errStaleSeq) {
-		t.Errorf("stale enter err = %v", err)
-	}
-	gen, err = s.enter(0, 6, time.Second)
-	if err != nil {
-		t.Errorf("enter(6): %v", err)
-	}
-	s.exit(gen, 6)
-}
-
-func TestSequencerEpochReset(t *testing.T) {
-	s := newSequencer()
-	gen, err := s.enter(1, 5, time.Second) // epoch 1 anchors at 5
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.exit(gen, 5) // next=6
-
-	// Park a waiter on the old epoch's numbering.
-	done := make(chan error, 1)
-	go func() {
-		_, err := s.enter(1, 9, 5*time.Second)
-		done <- err
-	}()
-	time.Sleep(20 * time.Millisecond)
-
-	// A new leadership term re-anchors and invalidates the waiter.
-	gen2, err := s.enter(2, 1, time.Second)
-	if err != nil {
-		t.Fatalf("new-epoch enter: %v", err)
-	}
-	s.exit(gen2, 1)
-	if err := <-done; !errors.Is(err, errEpochReset) {
-		t.Errorf("old-epoch waiter: want errEpochReset, got %v", err)
-	}
-	// A straggler stamped by the deposed leader is rejected outright —
-	// even though its seq number would fit the new cursor.
-	if _, err := s.enter(1, 2, time.Second); !errors.Is(err, errEpochReset) {
-		t.Errorf("deposed-leader response: want errEpochReset, got %v", err)
-	}
-	// The new epoch keeps sequencing normally.
-	gen2, err = s.enter(2, 2, time.Second)
-	if err != nil {
-		t.Fatalf("enter(epoch 2, seq 2): %v", err)
-	}
-	s.exit(gen2, 2)
-}
-
-func TestSequencerEpochResetDrainsActiveHolder(t *testing.T) {
-	s := newSequencer()
-	gen, err := s.enter(1, 5, time.Second) // holder mid-application
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	entered := make(chan struct{})
-	go func() {
-		gen2, err := s.enter(2, 1, 5*time.Second)
-		if err != nil {
-			t.Errorf("new-epoch enter: %v", err)
+// TestSingleGroupCommitLoopNeedsNoPulls: a lone Tashkent-MW replica's
+// own commits reach its merger straight from their certification
+// responses, so a commit loop never stalls the merge — no pull and no
+// fill RPC is ever issued.
+func TestSingleGroupCommitLoopNeedsNoPulls(t *testing.T) {
+	r := newRig(t, 1, TashkentMW, nil)
+	rpcs := &methodCounter{calls: make(map[string]int)}
+	r.fabric.SetInterposer(rpcs)
+	const n = 50
+	for i := 0; i < n; i++ {
+		if err := commitUpdate(t, r.proxies[0], "t", fmt.Sprintf("k%d", i), "v"); err != nil {
+			t.Fatalf("commit %d: %v", i, err)
 		}
-		close(entered)
-		s.exit(gen2, 1)
-	}()
-
-	// The new epoch must not start applying while the old epoch's
-	// holder is still inside its critical section.
-	select {
-	case <-entered:
-		t.Fatal("new-epoch enter proceeded while old-epoch holder was active")
-	case <-time.After(50 * time.Millisecond):
 	}
-	s.exit(gen, 5)
-	select {
-	case <-entered:
-	case <-time.After(2 * time.Second):
-		t.Fatal("new-epoch enter did not proceed after the holder drained")
+	if got := r.stores[0].AnnouncedVersion(); got != n {
+		t.Errorf("announced version %d after %d commits", got, n)
+	}
+	if got := rpcs.count(certifier.MethodCertify); got != n {
+		t.Errorf("%d certify RPCs for %d commits", got, n)
+	}
+	if p, f := rpcs.count(certifier.MethodPull), rpcs.count(certifier.MethodFill); p != 0 || f != 0 {
+		t.Errorf("commit loop issued %d pull and %d fill RPCs, want none", p, f)
 	}
 }
 

@@ -2,9 +2,10 @@ package proxy
 
 // Dependency-tracked parallel applier. The serial apply discipline —
 // one labeled commit at a time through the store's order semaphore —
-// made the replica's apply path the freshness bottleneck once
-// partitioned certification multiplied the commit rate. The scheduler
-// converts it into a pipeline: labeled remote writesets are
+// makes the replica's apply path the freshness bottleneck once
+// partitioned certification multiplies the commit rate, and it cannot
+// share fsyncs. The scheduler converts it into a pipeline: labeled
+// stream writesets are
 // conflict-analyzed against the live window using stripe signatures
 // (mvstore.StripeSig — key-set overlap summarized per store stripe),
 // non-overlapping writesets are *installed* concurrently by a worker
@@ -22,16 +23,29 @@ package proxy
 // fully in the chain with its real sequence. Signature intersection
 // over-approximates key overlap (hash collisions serialize harmlessly).
 //
-// Submissions must arrive in ascending version order — the response
-// sequencer (classic mode) and the single merger goroutine
-// (partitioned mode) both guarantee it — so "submitted before" and
-// "earlier version" coincide and every dependency edge points
-// backward in version order. Publication order is total regardless:
-// the store's pending list publishes by from-version under the apply
-// gate.
+// Submissions must arrive in ascending version order — the single
+// merger goroutine guarantees it — so "submitted before" and "earlier
+// version" coincide and every dependency edge points backward in
+// version order. Publication order is total regardless: the store's
+// pending list publishes by from-version under the apply gate.
+//
+// Handle entries — a waiting client's own commit — stay out of the
+// dependency graph. They depend on nothing: certification already
+// rules out an unpublished same-key predecessor (every earlier writer
+// of its keys lies at or below its snapshot, which was published when
+// the transaction began). Nothing depends on them through signatures
+// either: the handle has held its row locks since it wrote them and
+// keeps them until publication, so a later install of the same key
+// waits on the lock (and retries once it is published), while a mere
+// stripe collision — frequent between a run of remote writesets and a
+// hot own commit — costs nothing. They install at submission, through
+// the client's own handle, on a goroutine of their own: their commit
+// records then share fsyncs with each other and with the workers'
+// installs, as the ordered commits of §5.2 do.
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"time"
 
@@ -53,19 +67,20 @@ const (
 type applyEntry struct {
 	from, to uint64
 	ws       *core.Writeset
-	// waitFor delays the install until that version is announced
-	// (artificial conflict, §5.2.1).
-	waitFor uint64
-	split   bool
-	sig     mvstore.StripeSig
-	deps    int // unpublished predecessors with intersecting signatures
-	succs   []*applyEntry
-	state   int
-	start   time.Time
+	// own, if set, is the waiting client whose handle commits the
+	// entry (ws is its writeset, the fallback when the handle was
+	// killed); viaHandle records whether it did.
+	own       *ownWait
+	viaHandle bool
+	sig       mvstore.StripeSig
+	deps      int // unpublished predecessors with intersecting signatures
+	succs     []*applyEntry
+	state     int
+	start     time.Time
 	// done, if set, runs after the entry resolves; applied reports
 	// whether the replica state now covers the entry's range
-	// (published or superseded). The partitioned merger uses it for
-	// its vector/waiter bookkeeping.
+	// (published or superseded). The merger uses it for its
+	// vector/waiter bookkeeping.
 	done func(applied bool)
 }
 
@@ -129,15 +144,24 @@ func (s *applyScheduler) dead() bool {
 }
 
 // submit conflict-analyzes entries against the live window and queues
-// them. Entries must be in ascending version order, and concurrent
-// submitters must already be ordered against each other (sequencer /
-// merger) — the analysis assumes every window entry precedes every new
-// entry in version order.
+// them; handle entries start installing at once. Entries must be in
+// ascending version order, from the single merger goroutine — the
+// analysis assumes every window entry precedes every new entry in
+// version order.
 func (s *applyScheduler) submit(entries []*applyEntry) {
 	if len(entries) == 0 {
 		return
 	}
 	store := s.p.cfg.Store
+	var handles []*applyEntry
+	defer func() {
+		for _, e := range handles {
+			go func(e *applyEntry) {
+				defer s.wg.Done()
+				s.install(e)
+			}(e)
+		}
+	}()
 	s.mu.Lock()
 	for _, e := range entries {
 		for len(s.window) >= maxApplyWindow && !s.closed {
@@ -150,10 +174,13 @@ func (s *applyScheduler) submit(entries []*applyEntry) {
 			}
 			return
 		}
-		e.sig = store.Signature(e.ws)
 		e.state = entryWaiting
 		e.start = time.Now()
-		if e.sig != 0 {
+		if e.own != nil {
+			e.state = entryRunning
+			s.wg.Add(1)
+			handles = append(handles, e)
+		} else if e.sig = store.Signature(e.ws); e.sig != 0 {
 			for _, w := range s.window {
 				if w.state != entryDone && w.sig.Intersects(e.sig) {
 					w.succs = append(w.succs, e)
@@ -204,24 +231,14 @@ func (s *applyScheduler) worker() {
 	}
 }
 
-// install runs one entry: honor its artificial-conflict wait, then
-// install the writeset with the retry/kill discipline of the serial
-// path (§8.1 soft recovery, §8.2 eager kills) — but commit through
+// install runs one entry with the retry/kill discipline of the serial
+// path (§8.1 soft recovery, §8.2 eager kills) — but commits through
 // CommitLabeledAsync, so the entry's versions publish at their global
-// turn while this worker moves on.
+// turn while this worker moves on. Like the serial path it retries
+// until the entry lands: the merged stream cannot be skipped. Only a
+// store crash or the scheduler's shutdown ends it early.
 func (s *applyScheduler) install(e *applyEntry) {
 	p := s.p
-	if e.split {
-		p.addStat(func(st *Stats) { st.ArtificialConflicts++ })
-	}
-	if e.waitFor > 0 {
-		if err := p.cfg.Store.WaitAnnounced(e.waitFor, p.cfg.ChunkWaitTimeout); err != nil {
-			// Predecessor never announced (crash/failover); give up —
-			// resync re-applies from the certifier log.
-			s.resolve(e, outcomeOf(err))
-			return
-		}
-	}
 	cb := func(oc mvstore.PendingOutcome) {
 		if e.ws != nil && !e.ws.Empty() {
 			p.markInFlight(e.ws, false)
@@ -237,24 +254,44 @@ func (s *applyScheduler) install(e *applyEntry) {
 		return
 	}
 	p.markInFlight(e.ws, true)
-	var lastErr error
-	for attempt := 0; attempt < 8; attempt++ {
+	if e.own != nil {
+		e.viaHandle = true
+		if err := e.own.tx.CommitLabeledAsync(e.from, e.to, cb); err == nil {
+			return // cb owns the rest (it may already have run)
+		}
+		// Killed, or refused by the database: install its writeset.
+		e.viaHandle = false
+		p.addStat(func(st *Stats) { st.SoftRecoveries++ })
+	}
+	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
+			if s.stopped() {
+				break
+			}
 			p.addStat(func(st *Stats) { st.SoftRecoveries++ })
 			// Let predecessors publish so conflicting locks drain.
 			p.cfg.Store.WaitAnnounced(e.from, p.cfg.ChunkWaitTimeout)
 		}
-		p.killConflictingLocals(e.ws, 0)
-		lastErr = s.installOnce(e, cb)
-		if lastErr == nil {
+		p.killConflictingLocals(e.ws)
+		err := s.installOnce(e, cb)
+		if err == nil {
 			return // cb owns the rest (it may already have run)
 		}
-		if errors.Is(lastErr, mvstore.ErrCrashed) {
-			break
+		if errors.Is(err, mvstore.ErrCrashed) {
+			p.markInFlight(e.ws, false)
+			s.resolve(e, mvstore.PendingCrashed)
+			return
 		}
 	}
 	p.markInFlight(e.ws, false)
-	s.resolve(e, outcomeOf(lastErr))
+	s.resolve(e, 0)
+}
+
+// stopped reports whether the scheduler is shutting down.
+func (s *applyScheduler) stopped() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.closed
 }
 
 // installOnce is one install attempt. On success the commit is either
@@ -278,15 +315,6 @@ func (s *applyScheduler) installOnce(e *applyEntry, cb func(mvstore.PendingOutco
 		return err
 	}
 	return nil
-}
-
-// outcomeOf maps an install failure to the terminal outcome recorded
-// for the entry (0 = plain give-up).
-func outcomeOf(err error) mvstore.PendingOutcome {
-	if errors.Is(err, mvstore.ErrCrashed) {
-		return mvstore.PendingCrashed
-	}
-	return 0
 }
 
 // resolve finishes an entry: record the outcome, release its
@@ -331,21 +359,10 @@ func (s *applyScheduler) resolve(e *applyEntry, oc mvstore.PendingOutcome) {
 	}
 }
 
-// submitChunks feeds buildChunks output into the scheduler.
-func (s *applyScheduler) submitChunks(chunks []chunk) {
-	entries := make([]*applyEntry, 0, len(chunks))
-	for _, c := range chunks {
-		entries = append(entries, &applyEntry{
-			from: c.from, to: c.to, ws: c.ws, waitFor: c.waitFor, split: c.split,
-		})
-	}
-	s.submit(entries)
-}
-
 // ApplyStats is a snapshot of the parallel applier, alongside the
 // certifier's QueueStats in the observability surface.
 type ApplyStats struct {
-	// Workers is the configured pool size (0 = serial legacy path).
+	// Workers is the configured pool size (0 = serial installs).
 	Workers int
 	// Entry outcomes.
 	Submitted  int64
@@ -365,8 +382,8 @@ type ApplyStats struct {
 	// scheduler came to the maxApplyWindow backpressure bound.
 	WindowHigh int64
 	// Lag is the submit→publish wall time per entry; LagVersions the
-	// current gap between the planning cursor and the announced
-	// (visible) version.
+	// current gap between the merged versions the merger has drained
+	// and the announced (visible) version.
 	Lag         metrics.Summary
 	LagVersions uint64
 }
@@ -376,11 +393,11 @@ type ApplyStats struct {
 func (p *Proxy) ApplyStats() ApplyStats {
 	var st ApplyStats
 	ann := p.cfg.Store.AnnouncedVersion()
-	p.mu.Lock()
-	rv := p.rvPlanned
-	p.mu.Unlock()
-	if rv > ann {
-		st.LagVersions = rv - ann
+	p.merge.mu.Lock()
+	drained := p.merge.asm.MergedVersion()
+	p.merge.mu.Unlock()
+	if drained > ann {
+		st.LagVersions = drained - ann
 	}
 	s := p.sched
 	if s == nil {
@@ -405,43 +422,30 @@ func (p *Proxy) ApplyStats() ApplyStats {
 // RemoteEntry is one labeled writeset fed directly into the apply
 // path (harness experiments and tests).
 type RemoteEntry struct {
-	Version  uint64
-	SafeBack uint64
-	WS       *core.Writeset
+	Version uint64
+	WS      *core.Writeset
 }
 
-// ApplyRemoteEntries applies labeled remote writesets (ascending
-// versions) without a certification round trip; the applyscale
-// experiment drives the apply path with it. With the parallel
-// scheduler enabled the entries go through dependency analysis and
-// the worker pool and the call returns once scheduled — wait on
-// Store.WaitAnnounced for completion. Without it, each entry commits
-// through the serial labeled path before the next starts (the
-// serial-gate baseline).
+// ApplyRemoteEntries applies labeled writesets (ascending versions)
+// without a certification round trip; the applyscale experiment drives
+// the apply path with it. With the parallel scheduler enabled the
+// entries go through dependency analysis and the worker pool and the
+// call returns once scheduled — wait on Store.WaitAnnounced for
+// completion. Without it, each entry commits through the serial
+// labeled path before the next starts (the serial-gate baseline).
 func (p *Proxy) ApplyRemoteEntries(entries []RemoteEntry) error {
 	if p.sched != nil {
-		announced := p.cfg.Store.AnnouncedVersion()
 		ents := make([]*applyEntry, 0, len(entries))
-		var top uint64
 		for _, e := range entries {
-			ae := &applyEntry{from: e.Version - 1, to: e.Version, ws: e.WS}
-			if e.SafeBack > announced {
-				ae.waitFor = e.SafeBack
-			}
-			ents = append(ents, ae)
-			if e.Version > top {
-				top = e.Version
-			}
+			ents = append(ents, &applyEntry{from: e.Version - 1, to: e.Version, ws: e.WS})
 		}
 		p.sched.submit(ents)
-		p.advanceRV(top)
 		return nil
 	}
 	for _, e := range entries {
-		if err := p.applyBatchWithRecovery(e.WS, e.Version-1, e.Version, false); err != nil {
-			return err
+		if !p.installRange(e.WS, e.Version-1, e.Version) {
+			return fmt.Errorf("proxy: applying v%d: %w", e.Version, mvstore.ErrCrashed)
 		}
-		p.advanceRV(e.Version)
 	}
 	return nil
 }

@@ -203,41 +203,3 @@ func TestParallelApplyMatchesSerialState(t *testing.T) {
 		t.Fatalf("parallel fingerprint %08x != serial fingerprint %08x", a, b)
 	}
 }
-
-func TestBuildChunksEdges(t *testing.T) {
-	mk := func(v, safe uint64) appliedRemote {
-		return appliedRemote{version: v, safeBack: safe,
-			ws: &core.Writeset{Ops: []core.WriteOp{{Kind: core.OpUpdate, Table: "t", Key: fmt.Sprintf("k%d", v)}}}}
-	}
-	// Empty remotes: no chunks, nil or zero-length.
-	if got := buildChunks(7, 7, []appliedRemote{}); len(got) != 0 {
-		t.Errorf("empty remotes → %+v", got)
-	}
-	// basis == announced: a safe-back exactly at the shared cursor is
-	// resolved (no wait); one past it both waits and counts as a split.
-	chunks := buildChunks(5, 5, []appliedRemote{mk(6, 5)})
-	if len(chunks) != 1 || chunks[0].waitFor != 0 || chunks[0].split {
-		t.Errorf("safeBack==announced chunks = %+v", chunks)
-	}
-	chunks = buildChunks(5, 5, []appliedRemote{mk(6, 5), mk(7, 6)})
-	if len(chunks) != 2 || chunks[1].waitFor != 6 || !chunks[1].split {
-		t.Errorf("safeBack==announced+1 chunks = %+v", chunks)
-	}
-	// Gap-only stream: every version is isolated; each gets its own
-	// single-version chunk with from = version-1.
-	chunks = buildChunks(4, 4, []appliedRemote{mk(5, 0), mk(7, 0), mk(9, 0)})
-	if len(chunks) != 3 {
-		t.Fatalf("gap-only chunks = %+v", chunks)
-	}
-	for i, want := range []uint64{5, 7, 9} {
-		if chunks[i].from != want-1 || chunks[i].to != want {
-			t.Errorf("chunk %d = (%d,%d], want (%d,%d]", i, chunks[i].from, chunks[i].to, want-1, want)
-		}
-	}
-	// Announced ahead of basis (catch-up overlap): a conflict above
-	// basis but below announced is already resolved.
-	chunks = buildChunks(4, 8, []appliedRemote{mk(9, 7)})
-	if len(chunks) != 1 || chunks[0].waitFor != 0 || chunks[0].split {
-		t.Errorf("announced-ahead chunks = %+v", chunks)
-	}
-}

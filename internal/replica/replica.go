@@ -43,10 +43,10 @@ type Config struct {
 	ID   int
 	Mode proxy.Mode
 	IO   IOConfig
-	Cert *certifier.Client
-	// Parts switches the replica to partitioned certification: commits
-	// route across the topology's certifier groups and Cert is unused
-	// (see internal/partition). Forces eager pre-certification.
+	// Cert is the client of a single certifier group; Parts, when set,
+	// is the topology of a partitioned deployment instead (commits
+	// route across its groups, see internal/partition).
+	Cert  *certifier.Client
 	Parts *partition.Topology
 
 	// Storage tuning (see mvstore.Config).
@@ -60,14 +60,8 @@ type Config struct {
 	LocalCertification bool
 	EagerPreCert       bool
 	StalenessBound     time.Duration
-	// SeqTimeout bounds how long the proxy waits for a lost response-
-	// sequence predecessor before resyncing (0 = proxy default).
-	SeqTimeout time.Duration
-	// SeqObserver forwards proxy sequencer admissions to an invariant
-	// checker (see proxy.Config.SeqObserver).
-	SeqObserver func(epoch, seq uint64, outcome string)
-	// ApplyWorkers enables the parallel dependency-tracked applier with
-	// that many install workers (see proxy.Config.ApplyWorkers).
+	// ApplyWorkers sets the parallel dependency-tracked applier's
+	// width (see proxy.Config.ApplyWorkers).
 	ApplyWorkers int
 }
 
@@ -128,24 +122,14 @@ func Open(cfg Config) *Replica {
 }
 
 func (r *Replica) newProxy(store *mvstore.Store) *proxy.Proxy {
-	eager := r.cfg.EagerPreCert
-	if r.cfg.Parts != nil {
-		// The merger goroutine must be able to displace local
-		// transactions holding row locks it needs; without eager kills
-		// an own commit waiting for its merge position can deadlock
-		// against the merger until lock timeouts fire.
-		eager = true
-	}
 	return proxy.New(proxy.Config{
 		Mode:               r.cfg.Mode,
 		ReplicaID:          r.cfg.ID,
 		Store:              store,
 		Cert:               r.cfg.Cert,
 		LocalCertification: r.cfg.LocalCertification,
-		EagerPreCert:       eager,
+		EagerPreCert:       r.cfg.EagerPreCert,
 		StalenessBound:     r.cfg.StalenessBound,
-		SeqTimeout:         r.cfg.SeqTimeout,
-		SeqObserver:        r.cfg.SeqObserver,
 		Parts:              r.cfg.Parts,
 		ApplyWorkers:       r.cfg.ApplyWorkers,
 	})

@@ -139,9 +139,13 @@ func (h *health) observe(lat time.Duration, failed bool, peerLat float64) {
 	defer h.mu.Unlock()
 	if h.probeOut {
 		// Treat the first outcome after a probe was admitted as the
-		// probe's verdict.
+		// probe's verdict. A probe as slow as the trip threshold fails:
+		// a gray replica answers, just badly, and closing on its first
+		// answer would route it a full sample window of slow traffic
+		// before the latency trip could fire again.
 		h.probeOut = false
-		if failed {
+		slow := peerLat > 0 && lat.Seconds() > breakerLatFactor*peerLat && lat.Seconds() > breakerLatFloor
+		if failed || slow {
 			h.state = breakerOpen
 			h.openedAt = time.Now()
 			return

@@ -3,6 +3,7 @@ package router
 import (
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestRoundRobinDistribution(t *testing.T) {
@@ -253,5 +254,30 @@ func TestCountersResetOnCrash(t *testing.T) {
 	release()
 	if got := c.Get(0) + c.Get(1); got != 1 { // replica 1's artificial charge remains
 		t.Fatalf("post-reset accounting off: total in-flight %d, want 1", got)
+	}
+}
+
+// TestBreakerSlowProbeKeepsReplicaOpen: a half-open probe that answers
+// as slowly as the latency trip threshold re-opens the breaker; a fast
+// probe closes it.
+func TestBreakerSlowProbeKeepsReplicaOpen(t *testing.T) {
+	var h health
+	h.state = breakerOpen
+	h.openedAt = time.Now().Add(-2 * breakerCooldown)
+	if !h.admit() {
+		t.Fatal("cooled-down breaker admitted no probe")
+	}
+	peer := 0.002 // best peer answers in 2 ms
+	h.observe(time.Duration(2*breakerLatFactor*peer*float64(time.Second)), false, peer)
+	if h.state != breakerOpen {
+		t.Fatalf("slow probe left breaker in state %d, want open", h.state)
+	}
+	h.openedAt = time.Now().Add(-2 * breakerCooldown)
+	if !h.admit() {
+		t.Fatal("cooled-down breaker admitted no second probe")
+	}
+	h.observe(2*time.Millisecond, false, peer)
+	if h.state != breakerClosed {
+		t.Fatalf("fast probe left breaker in state %d, want closed", h.state)
 	}
 }
