@@ -3,6 +3,7 @@ package certifier
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -447,19 +448,19 @@ func TestCertifierRecoveryStateTransfer(t *testing.T) {
 func TestEntryDataRoundTrip(t *testing.T) {
 	ws := &core.Writeset{Ops: []core.WriteOp{{Kind: core.OpInsert, Table: "a", Key: "b",
 		Cols: []core.ColUpdate{{Col: "c", Value: []byte("d")}}}}}
-	data := encodeEntryData(7, 42, ws)
+	data := encodeEntryData(7, ws)
 	e, err := decodeEntryData(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Kind != core.KindData || e.Origin != 7 || e.Start != 42 || !e.WS.Intersects(ws) {
-		t.Errorf("decoded kind=%v origin=%d start=%d ws=%v", e.Kind, e.Origin, e.Start, e.WS)
+	if e.Kind != core.KindData || e.Origin != 7 || !e.WS.Intersects(ws) {
+		t.Errorf("decoded kind=%v origin=%d ws=%v", e.Kind, e.Origin, e.WS)
 	}
-	if _, err := decodeEntryData(data[:5]); err == nil {
+	if _, err := decodeEntryData(data[:4]); err == nil {
 		t.Error("short entry accepted")
 	}
 
-	pdata := encodeEntry(core.KindPrepare, 3, 9, 77, []int{0, 2}, ws)
+	pdata := encodeEntry(core.KindPrepare, 3, 77, []int{0, 2}, ws)
 	pe, err := decodeEntryData(pdata)
 	if err != nil {
 		t.Fatal(err)
@@ -486,5 +487,45 @@ func TestCertifyEmptyWritesetRejected(t *testing.T) {
 	_, err := g.client.Certify(Request{Origin: 1, WSBytes: (&core.Writeset{}).Encode(nil)})
 	if err == nil {
 		t.Error("empty writeset certification accepted")
+	}
+}
+
+// TestCertifyCostIndependentOfLogLength pins the certify path's cost to
+// the work of one request, not to the length of the log: a caught-up
+// replica's certification allocates about as much against a 20k-entry
+// log as against a short one. Copying the log (or rebuilding the
+// engine from it) per batch makes the long case allocate hundreds of
+// kilobytes per request.
+func TestCertifyCostIndependentOfLogLength(t *testing.T) {
+	g := newTestGroup(t, 1, nil)
+	ld := g.waitLeader(t)
+	var head uint64
+	bytesPerCertify := func(prefix string) uint64 {
+		const n = 200
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			resp, err := g.client.Certify(Request{Origin: 1, StartVersion: head, ReplicaVersion: head,
+				WSBytes: wsBytes(fmt.Sprintf("%s%d", prefix, i))})
+			if err != nil || !resp.Committed {
+				t.Fatalf("certify %s%d: %+v %v", prefix, i, resp, err)
+			}
+			head = resp.CommitVersion
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / n
+	}
+	short := bytesPerCertify("short")
+	for head < 20000 {
+		h, err := ld.FillTo(head + maxFill)
+		if err != nil {
+			t.Fatal(err)
+		}
+		head = h
+	}
+	long := bytesPerCertify("long")
+	t.Logf("bytes allocated per certify: %d with a short log, %d with %d+ entries", short, long, 20000)
+	if long > 2*short+4096 {
+		t.Errorf("certify allocates %d B/op against a 20k-entry log vs %d B/op against a short one: cost grows with the log", long, short)
 	}
 }

@@ -231,31 +231,32 @@ func parseOverloaded(msg string) (retryAfter time.Duration, ok bool) {
 	return time.Duration(ms) * time.Millisecond, true
 }
 
-// Log-entry payload: the data stored in each paxos log entry.
+// Log-entry payload: the data stored in each paxos log entry, and
+// shipped to replicas byte for byte as the log stores it.
 //
-//	uint8 kind | uint32 origin | uint64 startVersion
+//	uint8 kind | uint32 origin
 //	[ uint64 gid | uint16 nInvolved | uint16 pid ... ]   (2PC kinds only)
 //	writeset
 //
-// startVersion is retained so entries re-encoded from an engine rebuilt
-// from the log match the original payload. Decision markers encode an empty writeset —
-// the published items are recovered from the gid's prepare entry.
+// Decision markers encode an empty writeset — the published items are
+// recovered from the gid's prepare entry.
+
+// entryHeader is the size of the fixed kind + origin prefix.
+const entryHeader = 5
 
 // Entry is one decoded paxos log entry payload.
 type Entry struct {
 	Kind     core.EntryKind
 	Origin   int
-	Start    uint64
 	GID      uint64
 	Involved []int
 	WS       *core.Writeset
 }
 
-func encodeEntry(kind core.EntryKind, origin int, start, gid uint64, involved []int, ws *core.Writeset) []byte {
-	buf := make([]byte, 0, 25+2*len(involved)+ws.Size())
+func encodeEntry(kind core.EntryKind, origin int, gid uint64, involved []int, ws *core.Writeset) []byte {
+	buf := make([]byte, 0, entryHeader+10+2*len(involved)+ws.Size())
 	buf = append(buf, byte(kind))
 	buf = binary.BigEndian.AppendUint32(buf, uint32(origin))
-	buf = binary.BigEndian.AppendUint64(buf, start)
 	if kind != core.KindData {
 		buf = binary.BigEndian.AppendUint64(buf, gid)
 		buf = binary.BigEndian.AppendUint16(buf, uint16(len(involved)))
@@ -266,8 +267,8 @@ func encodeEntry(kind core.EntryKind, origin int, start, gid uint64, involved []
 	return ws.Encode(buf)
 }
 
-func encodeEntryData(origin int, start uint64, ws *core.Writeset) []byte {
-	return encodeEntry(core.KindData, origin, start, 0, nil, ws)
+func encodeEntryData(origin int, ws *core.Writeset) []byte {
+	return encodeEntry(core.KindData, origin, 0, nil, ws)
 }
 
 // EncodeEntry builds a raw log-entry payload — the exported
@@ -278,18 +279,16 @@ func EncodeEntry(e Entry) []byte {
 	if ws == nil {
 		ws = &core.Writeset{}
 	}
-	return encodeEntry(e.Kind, e.Origin, e.Start, e.GID, e.Involved, ws)
+	return encodeEntry(e.Kind, e.Origin, e.GID, e.Involved, ws)
 }
 
-// encodeEngineEntry re-encodes a retained engine log entry into the
-// wire payload format, for shipping raw entries to replicas. Decision markers are encoded with an empty writeset even
-// though the engine memoizes the published items on them.
-func encodeEngineEntry(e core.LogEntry) []byte {
-	ws := e.WS
-	if e.Kind == core.KindCommitMarker || e.Kind == core.KindAbortMarker {
-		ws = &core.Writeset{}
+// entryOrigin reads the origin field of a raw log-entry payload
+// without decoding the rest (-1 for a payload too short to carry one).
+func entryOrigin(data []byte) int {
+	if len(data) < entryHeader {
+		return -1
 	}
-	return encodeEntry(e.Kind, e.Origin, uint64(e.Start), e.GID, e.Involved, ws)
+	return int(binary.BigEndian.Uint32(data[1:entryHeader]))
 }
 
 // DecodeLogEntry decodes one paxos log entry's payload. The chaos
@@ -301,13 +300,12 @@ func DecodeLogEntry(data []byte) (Entry, error) {
 
 func decodeEntryData(data []byte) (Entry, error) {
 	var e Entry
-	if len(data) < 13 {
+	if len(data) < entryHeader {
 		return e, fmt.Errorf("certifier: short log entry (%d bytes)", len(data))
 	}
 	e.Kind = core.EntryKind(data[0])
-	e.Origin = int(binary.BigEndian.Uint32(data[1:5]))
-	e.Start = binary.BigEndian.Uint64(data[5:13])
-	rest := data[13:]
+	e.Origin = entryOrigin(data)
+	rest := data[entryHeader:]
 	if e.Kind != core.KindData {
 		if len(rest) < 10 {
 			return e, fmt.Errorf("certifier: short 2pc log entry (%d bytes)", len(data))

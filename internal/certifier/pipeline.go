@@ -253,8 +253,8 @@ func (s *Server) processBatch(batch []*certifyTask) {
 	// appended to the engine immediately so later requests in the batch
 	// certify against them; if the batched propose then fails, the
 	// engine basis is invalidated and rebuilt from the authoritative
-	// log, exactly as the per-request path did.
-	firstVersion := uint64(s.engine.SystemVersion()) + 1
+	// log (see proposeLocked).
+	base := uint64(s.engine.SystemVersion())
 	var commits []*certifyTask
 	var datas [][]byte
 	drainedAt := time.Now()
@@ -299,7 +299,6 @@ func (s *Server) processBatch(batch []*certifyTask) {
 		version := uint64(s.engine.SystemVersion()) + 1
 		if err := s.engine.Append(core.LogEntry{
 			Version: core.Version(version), WS: t.ws, Origin: t.req.Origin,
-			Start: core.Version(t.req.StartVersion),
 		}); err != nil {
 			s.basisValid = false
 			t.err = err
@@ -307,23 +306,17 @@ func (s *Server) processBatch(batch []*certifyTask) {
 		}
 		t.commit = true
 		t.version = version
-		datas = append(datas, encodeEntryData(t.req.Origin, t.req.StartVersion, t.ws))
+		datas = append(datas, encodeEntryData(t.req.Origin, t.ws))
 		commits = append(commits, t)
 	}
 
 	// Stage 3: one replication round for every surviving commit,
 	// guarded against engine/log skew while we still hold the lock.
-	var firstIdx, term uint64
+	var lastIdx, term uint64
 	var proposeErr error
 	if len(datas) > 0 {
-		firstIdx, term, proposeErr = s.node.ProposeBatchAt(firstVersion-1, datas)
-		if proposeErr == nil && firstIdx != firstVersion {
-			proposeErr = fmt.Errorf("certifier: proposed first index %d, engine expected %d", firstIdx, firstVersion)
-		}
-		if proposeErr != nil {
-			// Log changed or leadership lost: force a rebuild next time.
-			s.basisValid = false
-		} else {
+		lastIdx, term, proposeErr = s.proposeLocked(base, datas)
+		if proposeErr == nil {
 			// Commit and batch-size accounting only cover batches that
 			// actually reached the replicated log (a failed propose
 			// errors every task in it).
@@ -371,7 +364,6 @@ func (s *Server) processBatch(batch []*certifyTask) {
 	}
 
 	// Stage 4: one durability barrier for the whole batch.
-	lastIdx := firstIdx + uint64(len(datas)) - 1
 	if err := s.node.WaitCommitted(lastIdx, term); err != nil {
 		s.failTasks(commits, fmt.Errorf("certifier: replication: %w", err))
 		return

@@ -350,16 +350,24 @@ func (s *Server) Handle(method string, req []byte) ([]byte, error) {
 	}
 }
 
-// ensureEngineLocked makes the engine reflect this node's current log
-// snapshot, rebuilding after leadership changes. Returns an error if
-// the node is not the leader.
+// ensureEngineLocked checks that this node leads and that the engine
+// indexes its log, rebuilding the engine from the log only when the
+// basis is invalid or the node leads in a new term. Inside one term
+// only this leader's guarded proposals change its log, and each of
+// them appends to the engine too (a failed one invalidates the basis),
+// so a valid basis of the current term needs no copy of the log.
+// Returns an error if the node is not the leader.
 func (s *Server) ensureEngineLocked() error {
-	term, role, entries := s.node.SnapshotLog()
+	role, term := s.node.Role()
 	if role != paxos.Leader {
 		return notLeaderError(s.node.LeaderHint())
 	}
 	if s.basisValid && s.basisTerm == term {
 		return nil
+	}
+	term, role, entries := s.node.SnapshotLog()
+	if role != paxos.Leader {
+		return notLeaderError(s.node.LeaderHint())
 	}
 	eng := core.NewEngine()
 	for _, e := range entries {
@@ -369,8 +377,7 @@ func (s *Server) ensureEngineLocked() error {
 		}
 		if err := eng.Append(core.LogEntry{
 			Version: core.Version(e.Index), WS: dec.WS, Origin: dec.Origin,
-			Start: core.Version(dec.Start),
-			Kind:  dec.Kind, GID: dec.GID, Involved: dec.Involved,
+			Kind: dec.Kind, GID: dec.GID,
 		}); err != nil {
 			return fmt.Errorf("certifier: rebuilding engine: %w", err)
 		}
@@ -390,6 +397,38 @@ func (s *Server) ensureEngineLocked() error {
 		}()
 	}
 	return nil
+}
+
+// proposeLocked replicates datas as the log entries right after base,
+// the engine head before their entries were appended to it, and
+// returns the last entry's index and the term it was proposed in. Any
+// failure — the log moved, leadership was lost — invalidates the
+// engine basis, so the next call rebuilds it from the log.
+func (s *Server) proposeLocked(base uint64, datas [][]byte) (last, term uint64, err error) {
+	first, term, err := s.node.ProposeBatchAt(base, datas)
+	if err == nil && first != base+1 {
+		err = fmt.Errorf("certifier: proposed first index %d, engine expected %d", first, base+1)
+	}
+	if err != nil {
+		s.basisValid = false
+		return 0, 0, err
+	}
+	return first + uint64(len(datas)) - 1, term, nil
+}
+
+// appendLocked appends entries to the engine at the next versions
+// (their Version fields are assigned here) and proposes their payloads
+// datas to the log; see proposeLocked.
+func (s *Server) appendLocked(entries []core.LogEntry, datas [][]byte) (last, term uint64, err error) {
+	base := uint64(s.engine.SystemVersion())
+	for i := range entries {
+		entries[i].Version = core.Version(base + uint64(i) + 1)
+		if err := s.engine.Append(entries[i]); err != nil {
+			s.basisValid = false
+			return 0, 0, err
+		}
+	}
+	return s.proposeLocked(base, datas)
 }
 
 // committedCap bounds what leaves the certifier to majority-durable
@@ -418,45 +457,30 @@ func (s *Server) Barrier() (uint64, error) {
 		s.mu.Unlock()
 		return 0, err
 	}
-	version := uint64(s.engine.SystemVersion()) + 1
-	data := encodeEntryData(0, 0, &core.Writeset{})
-	first, term, err := s.node.ProposeBatchAt(version-1, [][]byte{data})
-	if err == nil && first != version {
-		err = fmt.Errorf("certifier: barrier proposed at index %d, engine expected %d", first, version)
-	}
+	last, term, err := s.appendLocked(
+		[]core.LogEntry{{WS: &core.Writeset{}, Origin: core.BarrierOrigin}},
+		[][]byte{encodeEntryData(core.BarrierOrigin, &core.Writeset{})})
+	s.mu.Unlock()
 	if err != nil {
-		s.basisValid = false
-		s.mu.Unlock()
 		return 0, err
 	}
-	if aerr := s.engine.Append(core.LogEntry{
-		Version: core.Version(version), WS: &core.Writeset{}, Origin: 0,
-	}); aerr != nil {
-		s.basisValid = false
-	}
-	s.mu.Unlock()
-	if err := s.node.WaitCommitted(first, term); err != nil {
+	if err := s.node.WaitCommitted(last, term); err != nil {
 		return 0, err
 	}
 	return s.node.CommitIndex(), nil
 }
 
-// fillRemotesLocked collects the committed entries in (after, upTo]
-// that did not originate at the requesting replica — or every entry in
-// the range when includeOwn is set (a pulling replica needs its own
-// lost or pre-crash transactions back too).
+// fillRemotesLocked ships the log entries in (after, upTo] that did
+// not originate at the requesting replica — or every entry in the range
+// when includeOwn is set (a pulling replica needs its own lost or
+// pre-crash transactions back too). Each entry leaves as the payload
+// the log stores.
 func (s *Server) fillRemotesLocked(resp *Response, origin int, includeOwn bool, after, upTo uint64) {
-	entries, err := s.engine.EntriesSince(core.Version(after), core.Version(upTo))
-	if err != nil {
-		// Horizon truncated below the replica's version; the replica
-		// must do a full resync. Ship nothing.
-		return
-	}
-	for _, e := range entries {
-		if e.Origin == origin && !includeOwn {
+	for _, e := range s.node.Entries(after, upTo) {
+		if !includeOwn && entryOrigin(e.Data) == origin {
 			continue
 		}
-		resp.Remote = append(resp.Remote, RemoteWS{Version: uint64(e.Version), Data: encodeEngineEntry(e)})
+		resp.Remote = append(resp.Remote, RemoteWS{Version: e.Index, Data: e.Data})
 		s.stats.RemoteShipped++
 	}
 }
@@ -522,30 +546,20 @@ func (s *Server) Prepare(req PrepareRequest) (PrepareResponse, error) {
 		s.mu.Unlock()
 		return PrepareResponse{SystemVersion: s.committedCap()}, nil
 	}
-	version := uint64(s.engine.SystemVersion()) + 1
-	data := encodeEntry(core.KindPrepare, req.Origin, req.StartVersion, req.GID, req.Involved, ws)
-	first, term, err := s.node.ProposeBatchAt(version-1, [][]byte{data})
-	if err == nil && first != version {
-		err = fmt.Errorf("certifier: prepare proposed at index %d, engine expected %d", first, version)
+	last, term, err := s.appendLocked(
+		[]core.LogEntry{{WS: ws, Origin: req.Origin, Kind: core.KindPrepare, GID: req.GID}},
+		[][]byte{encodeEntry(core.KindPrepare, req.Origin, req.GID, req.Involved, ws)})
+	if err == nil {
+		s.stats.Commits++
 	}
-	if err != nil {
-		s.basisValid = false
-		s.mu.Unlock()
-		return PrepareResponse{}, err
-	}
-	if aerr := s.engine.Append(core.LogEntry{
-		Version: core.Version(version), WS: ws, Origin: req.Origin,
-		Start: core.Version(req.StartVersion),
-		Kind:  core.KindPrepare, GID: req.GID, Involved: req.Involved,
-	}); aerr != nil {
-		s.basisValid = false
-	}
-	s.stats.Commits++
 	s.mu.Unlock()
-	if err := s.node.WaitCommitted(first, term); err != nil {
+	if err != nil {
 		return PrepareResponse{}, err
 	}
-	return PrepareResponse{Prepared: true, Index: version, SystemVersion: s.committedCap()}, nil
+	if err := s.node.WaitCommitted(last, term); err != nil {
+		return PrepareResponse{}, err
+	}
+	return PrepareResponse{Prepared: true, Index: last, SystemVersion: s.committedCap()}, nil
 }
 
 // Resolve serves phase 2: append the commit or abort decision marker
@@ -577,28 +591,17 @@ func (s *Server) Resolve(req ResolveRequest) (ResolveResponse, error) {
 	if req.Commit {
 		kind = core.KindCommitMarker
 	}
-	version := uint64(s.engine.SystemVersion()) + 1
-	data := encodeEntry(kind, 0, 0, req.GID, nil, &core.Writeset{})
-	first, term, err := s.node.ProposeBatchAt(version-1, [][]byte{data})
-	if err == nil && first != version {
-		err = fmt.Errorf("certifier: resolve proposed at index %d, engine expected %d", first, version)
-	}
-	if err != nil {
-		s.basisValid = false
-		s.mu.Unlock()
-		return ResolveResponse{}, err
-	}
-	if aerr := s.engine.Append(core.LogEntry{
-		Version: core.Version(version), WS: &core.Writeset{},
-		Kind: kind, GID: req.GID,
-	}); aerr != nil {
-		s.basisValid = false
-	}
+	last, term, err := s.appendLocked(
+		[]core.LogEntry{{WS: &core.Writeset{}, Kind: kind, GID: req.GID}},
+		[][]byte{encodeEntry(kind, 0, req.GID, nil, &core.Writeset{})})
 	s.mu.Unlock()
-	if err := s.node.WaitCommitted(first, term); err != nil {
+	if err != nil {
 		return ResolveResponse{}, err
 	}
-	return ResolveResponse{Index: version, SystemVersion: s.committedCap()}, nil
+	if err := s.node.WaitCommitted(last, term); err != nil {
+		return ResolveResponse{}, err
+	}
+	return ResolveResponse{Index: last, SystemVersion: s.committedCap()}, nil
 }
 
 // maxFill bounds one fill request; a merge that is further behind asks
@@ -628,29 +631,21 @@ func (s *Server) FillTo(target uint64) (uint64, error) {
 	if n > maxFill {
 		n = maxFill
 	}
+	// Every fill entry is the same no-op: share one payload and one
+	// empty writeset.
+	fill, empty := encodeEntryData(core.BarrierOrigin, &core.Writeset{}), &core.Writeset{}
 	datas := make([][]byte, n)
 	entries := make([]core.LogEntry, n)
 	for i := range datas {
-		datas[i] = encodeEntryData(core.BarrierOrigin, 0, &core.Writeset{})
-		entries[i] = core.LogEntry{Version: core.Version(head + uint64(i) + 1), WS: &core.Writeset{}, Origin: core.BarrierOrigin}
+		datas[i] = fill
+		entries[i] = core.LogEntry{WS: empty, Origin: core.BarrierOrigin}
 	}
-	first, term, err := s.node.ProposeBatchAt(head, datas)
-	if err == nil && first != head+1 {
-		err = fmt.Errorf("certifier: fill proposed at index %d, engine expected %d", first, head+1)
-	}
+	last, term, err := s.appendLocked(entries, datas)
+	s.mu.Unlock()
 	if err != nil {
-		s.basisValid = false
-		s.mu.Unlock()
 		return 0, err
 	}
-	for _, e := range entries {
-		if aerr := s.engine.Append(e); aerr != nil {
-			s.basisValid = false
-			break
-		}
-	}
-	s.mu.Unlock()
-	if err := s.node.WaitCommitted(first+n-1, term); err != nil {
+	if err := s.node.WaitCommitted(last, term); err != nil {
 		return 0, err
 	}
 	return s.committedCap(), nil

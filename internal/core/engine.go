@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 )
@@ -44,29 +43,22 @@ func (k EntryKind) String() string {
 	}
 }
 
-// LogEntry is one committed update transaction in the certifier's
-// global order: the writeset together with the version its commit
-// created.
+// LogEntry is one entry of the certifier's global order as the engine
+// indexes it: the writeset together with the version its commit
+// created. The entry's payload itself lives in the certifier's
+// replicated log, not in the engine.
 type LogEntry struct {
 	Version Version
 	WS      *Writeset
 	// Origin identifies the replica whose transaction produced this
-	// writeset. The certifier uses it to exclude a replica's own
-	// writesets when shipping "remote" writesets back to it.
+	// writeset (BarrierOrigin for barrier and fill no-ops).
 	Origin int
-	// Start is the transaction's snapshot version, retained so an
-	// entry re-encoded for shipping carries its full log payload.
-	Start Version
 	// Kind tells a partitioned certifier group how to interpret the
 	// entry (data, 2PC prepare, or 2PC decision marker).
 	Kind EntryKind
 	// GID is the cluster-wide transaction id of a cross-partition
 	// transaction; zero for KindData.
 	GID uint64
-	// Involved lists the partition ids participating in a
-	// cross-partition transaction (prepare and marker entries), so
-	// replicas know which groups' parts form the full writeset.
-	Involved []int
 }
 
 // Decision is the outcome of a certification request.
@@ -93,21 +85,14 @@ func (d Decision) String() string {
 	}
 }
 
-// ErrTruncated reports that a requested log range has been garbage
-// collected below the engine's truncation horizon.
-var ErrTruncated = errors.New("core: log range truncated")
-
-// Engine is the pure certification engine: it maintains the global log
-// of committed writesets, the per-item last-writer index used for fast
-// intersection tests, and the global system version. It is not safe
-// for concurrent use; the certifier server serializes access.
+// Engine is the pure certification engine: an index over the
+// certifier's replicated log, whose index is the global version. It
+// keeps only what certification reads — the global system version, the
+// per-item writer index used for fast intersection tests, and the 2PC
+// lock and decision state — and no copy of the entries themselves. It
+// is not safe for concurrent use; the certifier server serializes
+// access.
 type Engine struct {
-	// log[i] holds the entry for version trunc+1+i.
-	log []LogEntry
-	// trunc is the highest garbage-collected version: entries with
-	// Version <= trunc are gone. Initially 0 (nothing collected; the
-	// log conceptually starts at version 1).
-	trunc Version
 	// system is the global system version: the version of the most
 	// recently committed update transaction.
 	system Version
@@ -154,17 +139,10 @@ func NewEngine() *Engine {
 // transaction.
 func (e *Engine) SystemVersion() Version { return e.system }
 
-// TruncatedBelow returns the highest garbage-collected version; log
-// entries are retained for versions strictly greater than this.
-func (e *Engine) TruncatedBelow() Version { return e.trunc }
-
-// Len returns the number of retained log entries.
-func (e *Engine) Len() int { return len(e.log) }
-
 // Certify performs the paper's certification test for a transaction
 // that started at version start with writeset ws: ws is intersected
 // against every writeset committed at a version greater than start. On
-// success the writeset is appended to the log at a fresh version and
+// success the writeset is indexed at a fresh version and
 // (newVersion, Commit) is returned; on conflict (0, Abort).
 //
 // An empty writeset always commits but consumes no version; callers
@@ -178,9 +156,8 @@ func (e *Engine) Certify(start Version, ws *Writeset, origin int) (Version, Deci
 		return 0, Abort
 	}
 	e.system++
-	v := e.system
-	e.append(LogEntry{Version: v, WS: ws, Start: start, Origin: origin})
-	return v, Commit
+	e.record(LogEntry{Version: e.system, WS: ws, Origin: origin})
+	return e.system, Commit
 }
 
 // Conflicts reports (without mutating the engine) whether ws
@@ -222,25 +199,11 @@ func (e *Engine) Resolution(gid uint64) (v Version, commit, ok bool) {
 	return r.version, r.commit, found
 }
 
-// OldestPrepared returns the lowest version among unresolved prepare
-// entries, or 0 if none are pending. Truncation must not cross it:
-// the prepare's writeset is the only record of what its decision
-// marker will publish.
-func (e *Engine) OldestPrepared() Version {
-	var oldest Version
-	for _, p := range e.prepared {
-		if oldest == 0 || p.version < oldest {
-			oldest = p.version
-		}
-	}
-	return oldest
-}
-
 // BarrierOrigin is the origin id of leader-barrier no-op entries
 // (certifier.Server.Barrier). Real replicas have positive origin ids.
 const BarrierOrigin = 0
 
-// Append installs an already-certified entry at the next version. The
+// Append indexes an already-certified entry at the next version. The
 // entry's version must be exactly SystemVersion()+1. An empty writeset
 // is permitted only for barrier entries (Origin == BarrierOrigin) and
 // 2PC decision markers: a leader barrier commits a no-op to finalize a
@@ -271,7 +234,7 @@ func (e *Engine) Append(entry LogEntry) error {
 		return fmt.Errorf("core: append of unknown entry kind %d at version %d", entry.Kind, entry.Version)
 	}
 	e.system = entry.Version
-	e.append(entry)
+	e.record(entry)
 	return nil
 }
 
@@ -295,49 +258,30 @@ func (e *Engine) conflicts(ws *Writeset, lo, hi Version) bool {
 	return false
 }
 
-func (e *Engine) append(entry LogEntry) {
+// record folds an entry at a fresh version into the writer index and
+// the 2PC state.
+func (e *Engine) record(entry LogEntry) {
 	switch entry.Kind {
 	case KindPrepare:
-		// The part is logged but stays out of the writer index: it
-		// conflicts with later transactions through the lock map until
-		// its decision marker resolves it.
+		// The part stays out of the writer index: it conflicts with
+		// later transactions through the lock map until its decision
+		// marker resolves it.
 		items := entry.WS.Items()
 		for _, id := range items {
 			e.locks[id] = entry.GID
 		}
 		e.prepared[entry.GID] = preparedTx{version: entry.Version, items: items}
-	case KindCommitMarker:
+	case KindCommitMarker, KindAbortMarker:
+		commit := entry.Kind == KindCommitMarker
 		if p, ok := e.prepared[entry.GID]; ok {
-			// Publish the prepared items at the marker's own version:
-			// a transaction whose snapshot predates the marker now
-			// conflicts with the cross-partition commit, even though
-			// its snapshot may postdate the prepare.
-			prep, err := e.Entry(p.version)
-			if err == nil {
-				entry.WS = prep.WS
-			}
 			for _, id := range p.items {
-				e.writers[id] = append(e.writers[id], entry.Version)
-				if e.locks[id] == entry.GID {
-					delete(e.locks, id)
+				// A commit publishes the prepared items at the marker's
+				// own version: a transaction whose snapshot predates the
+				// marker now conflicts with the cross-partition commit,
+				// even though its snapshot may postdate the prepare.
+				if commit {
+					e.writers[id] = append(e.writers[id], entry.Version)
 				}
-			}
-			delete(e.prepared, entry.GID)
-		} else if !entry.WS.Empty() {
-			// Restore from a snapshot whose marker already carries the
-			// synthesized writeset.
-			for _, id := range entry.WS.Items() {
-				e.writers[id] = append(e.writers[id], entry.Version)
-			}
-		}
-		if _, seen := e.resolved[entry.GID]; !seen {
-			e.resolved[entry.GID] = resolution{version: entry.Version, commit: true}
-		}
-		e.log = append(e.log, entry)
-		return
-	case KindAbortMarker:
-		if p, ok := e.prepared[entry.GID]; ok {
-			for _, id := range p.items {
 				if e.locks[id] == entry.GID {
 					delete(e.locks, id)
 				}
@@ -345,115 +289,11 @@ func (e *Engine) append(entry LogEntry) {
 			delete(e.prepared, entry.GID)
 		}
 		if _, seen := e.resolved[entry.GID]; !seen {
-			e.resolved[entry.GID] = resolution{version: entry.Version, commit: false}
+			e.resolved[entry.GID] = resolution{version: entry.Version, commit: commit}
 		}
 	default:
 		for _, id := range entry.WS.Items() {
 			e.writers[id] = append(e.writers[id], entry.Version)
 		}
 	}
-	e.log = append(e.log, entry)
-}
-
-// entryIndex converts a version to an index into e.log, or -1 if the
-// version is truncated or in the future.
-func (e *Engine) entryIndex(v Version) int {
-	if v <= e.trunc || v > e.system {
-		return -1
-	}
-	return int(v - e.trunc - 1)
-}
-
-// Entry returns the log entry committed at version v.
-func (e *Engine) Entry(v Version) (LogEntry, error) {
-	i := e.entryIndex(v)
-	if i < 0 {
-		return LogEntry{}, fmt.Errorf("%w: version %d (horizon %d, system %d)", ErrTruncated, v, e.trunc, e.system)
-	}
-	return e.log[i], nil
-}
-
-// EntriesSince returns the log entries with versions in (after, upTo].
-// These are exactly the "remote writesets the replica has not received
-// yet" that the certifier ships back with a certification response.
-func (e *Engine) EntriesSince(after, upTo Version) ([]LogEntry, error) {
-	if upTo > e.system {
-		upTo = e.system
-	}
-	if after >= upTo {
-		return nil, nil
-	}
-	if after < e.trunc {
-		return nil, fmt.Errorf("%w: need entries after %d but horizon is %d", ErrTruncated, after, e.trunc)
-	}
-	lo := int(after - e.trunc)
-	hi := int(upTo - e.trunc)
-	out := make([]LogEntry, hi-lo)
-	copy(out, e.log[lo:hi])
-	return out, nil
-}
-
-// Truncate garbage-collects log entries with Version <= below. It is
-// called once every replica has acknowledged receipt of those versions.
-// Truncating beyond the system version is an error.
-func (e *Engine) Truncate(below Version) error {
-	if below > e.system {
-		return fmt.Errorf("core: truncate(%d) beyond system version %d", below, e.system)
-	}
-	// Never collect an unresolved prepare: its writeset is the only
-	// record of what the decision marker will publish.
-	if oldest := e.OldestPrepared(); oldest != 0 && below >= oldest {
-		below = oldest - 1
-	}
-	if below <= e.trunc {
-		return nil
-	}
-	cut := int(below - e.trunc)
-	dropped := e.log[:cut]
-	e.log = append([]LogEntry(nil), e.log[cut:]...)
-	e.trunc = below
-	for _, entry := range dropped {
-		for _, id := range entry.WS.Items() {
-			vs := e.writers[id]
-			idx := sort.Search(len(vs), func(k int) bool { return vs[k] > below })
-			if idx == 0 {
-				continue
-			}
-			if idx == len(vs) {
-				delete(e.writers, id)
-			} else {
-				e.writers[id] = append([]Version(nil), vs[idx:]...)
-			}
-		}
-	}
-	return nil
-}
-
-// Restore rebuilds the engine from a log prefix, used during certifier
-// recovery: entries must be dense starting at trunc+1.
-func (e *Engine) Restore(trunc Version, entries []LogEntry) error {
-	e.log = nil
-	e.trunc = trunc
-	e.system = trunc
-	e.writers = make(map[ItemID][]Version)
-	e.locks = make(map[ItemID]uint64)
-	e.prepared = make(map[uint64]preparedTx)
-	e.resolved = make(map[uint64]resolution)
-	for i := range entries {
-		want := trunc + Version(i) + 1
-		if entries[i].Version != want {
-			return fmt.Errorf("core: restore: entry %d has version %d, want %d", i, entries[i].Version, want)
-		}
-		e.append(entries[i])
-		e.system = want
-	}
-	return nil
-}
-
-// Snapshot returns a copy of the retained log, for state transfer to a
-// recovering certifier peer.
-func (e *Engine) Snapshot() (trunc Version, entries []LogEntry) {
-	out := make([]LogEntry, len(e.log))
-	copy(out, e.log)
-	return e.trunc, out
 }

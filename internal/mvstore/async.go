@@ -47,10 +47,6 @@ const (
 	PendingSuperseded
 	// PendingCrashed: the store crashed before the commit's turn.
 	PendingCrashed
-	// PendingCanceled: CancelPendings withdrew the commit (a resync is
-	// taking over the apply stream); its provisional versions were
-	// discarded and its locks released as aborted.
-	PendingCanceled
 )
 
 // pendingCommit is one installed-but-unpublished labeled commit
@@ -367,42 +363,6 @@ func (s *Store) forEachProvisional(pc *pendingCommit, f func(versions []rowVersi
 		}
 		sh.mu.Unlock()
 	}
-}
-
-// CancelPendings withdraws every deferred-publication commit that is
-// not yet eligible to publish: ready prefixes are published first
-// (one last drain), then the remainder — commits stuck behind a
-// version gap — are discarded and their locks released as aborted.
-// A resync calls this before serially re-applying from the certifier
-// log: stuck pendings hold row locks indefinitely (they have no
-// timeout), and the resync needs those rows. The canceled ranges all
-// lie above the announce cursor, so the resync's catch-up pull covers
-// them. Returns the number of commits canceled.
-func (s *Store) CancelPendings() int {
-	s.drainPending()
-	s.applyGate.Lock()
-	s.pendMu.Lock()
-	pend := s.pendList
-	s.pendList = nil
-	s.pendMu.Unlock()
-	for _, pc := range pend {
-		if pc.token != 0 {
-			s.discardProvisional(pc)
-		}
-	}
-	s.applyGate.Unlock()
-	for _, pc := range pend {
-		if pc.token != 0 {
-			// Released as aborted: the effects were discarded, so lock
-			// waiters (the resync's appliers among them) retry and
-			// proceed.
-			s.releaseItems(pc.txID, pc.held, false)
-		}
-		if pc.cb != nil {
-			pc.cb(PendingCanceled)
-		}
-	}
-	return len(pend)
 }
 
 // sweepPending fails every registered pending after a crash or close:

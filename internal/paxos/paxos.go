@@ -89,9 +89,6 @@ type Config struct {
 	// NoSync for the paper's tashAPInoCERT ablation, where the
 	// certifier performs certification but skips disk writes.
 	WALMode wal.Mode
-	// Apply is invoked with each committed entry exactly once, in
-	// index order, from a single goroutine.
-	Apply func(e Entry)
 	// CallHook, if set, is consulted before every outgoing peer RPC
 	// (votes, appends); returning a non-nil error suppresses the send,
 	// which the protocol treats like an unreachable peer. The chaos
@@ -118,7 +115,6 @@ type Node struct {
 	leaderHint  int
 	log         []Entry // log[i] has Index i+1
 	commitIndex uint64
-	applied     uint64
 	stableIndex uint64 // highest index covered by our own WAL fsyncs
 	matchIndex  map[int]uint64
 	nextIndex   map[int]uint64
@@ -198,12 +194,10 @@ func (n *Node) RestoreFromImage(image []byte) error {
 	return nil
 }
 
-// Start launches the election timer. Apply callbacks begin flowing as
-// entries commit.
+// Start launches the election timer.
 func (n *Node) Start() {
-	n.wg.Add(2)
+	n.wg.Add(1)
 	go n.timerLoop()
-	go n.applyLoop()
 }
 
 // Stop halts the node (simulating a crash when followed by discarding
@@ -280,6 +274,24 @@ func (n *Node) SnapshotLog() (term uint64, role Role, entries []Entry) {
 	out := make([]Entry, len(n.log))
 	copy(out, n.log)
 	return n.term, n.role, out
+}
+
+// Entries returns the local log entries with indices in (after, upTo],
+// clamped to the log's length. The entry headers are copied; Data is
+// shared with the log, which never mutates a stored payload. The
+// certifier ships these payloads to replicas as they are.
+func (n *Node) Entries(after, upTo uint64) []Entry {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if l := uint64(len(n.log)); upTo > l {
+		upTo = l
+	}
+	if after >= upTo {
+		return nil
+	}
+	out := make([]Entry, upTo-after)
+	copy(out, n.log[after:upTo])
+	return out
 }
 
 // ProposeAt is Propose with an optimistic-concurrency guard: it fails
@@ -499,32 +511,6 @@ func (n *Node) quorumLostLocked() bool {
 		}
 	}
 	return live < n.majority()
-}
-
-// applyLoop delivers committed entries to cfg.Apply in order.
-func (n *Node) applyLoop() {
-	defer n.wg.Done()
-	for {
-		n.mu.Lock()
-		for n.applied >= n.commitIndex && !n.stopped {
-			n.cond.Wait()
-		}
-		if n.stopped {
-			n.mu.Unlock()
-			return
-		}
-		var batch []Entry
-		for n.applied < n.commitIndex {
-			n.applied++
-			batch = append(batch, n.log[n.applied-1])
-		}
-		n.mu.Unlock()
-		if n.cfg.Apply != nil {
-			for _, e := range batch {
-				n.cfg.Apply(e)
-			}
-		}
-	}
 }
 
 // timerLoop drives elections (followers/candidates) and heartbeats

@@ -17,8 +17,6 @@ type group struct {
 	fabric  *LocalFabricAlias
 	nodes   []*Node
 	servers []transport.Server
-	applyMu sync.Mutex
-	applied map[int][]Entry
 }
 
 // LocalFabricAlias avoids an import cycle in the test helper name.
@@ -26,10 +24,7 @@ type LocalFabricAlias = transport.LocalFabric
 
 func newGroup(t *testing.T, n int, mode wal.Mode) *group {
 	t.Helper()
-	g := &group{
-		fabric:  transport.NewLocalFabric(0),
-		applied: make(map[int][]Entry),
-	}
+	g := &group{fabric: transport.NewLocalFabric(0)}
 	for i := 0; i < n; i++ {
 		peers := make(map[int]transport.Client)
 		for j := 0; j < n; j++ {
@@ -37,17 +32,11 @@ func newGroup(t *testing.T, n int, mode wal.Mode) *group {
 				peers[j] = g.fabric.Dial(fmt.Sprintf("cert%d", j))
 			}
 		}
-		i := i
 		node := NewNode(Config{
-			ID:      i,
-			Peers:   peers,
-			Disk:    simdisk.New(simdisk.Instant(), int64(i)),
-			WALMode: mode,
-			Apply: func(e Entry) {
-				g.applyMu.Lock()
-				g.applied[i] = append(g.applied[i], e)
-				g.applyMu.Unlock()
-			},
+			ID:              i,
+			Peers:           peers,
+			Disk:            simdisk.New(simdisk.Instant(), int64(i)),
+			WALMode:         mode,
 			ElectionTimeout: 40 * time.Millisecond,
 			Seed:            int64(i) + 1,
 		})
@@ -135,35 +124,16 @@ func TestThreeNodeReplication(t *testing.T) {
 			t.Errorf("node %d log = %d", i, n.LogLength())
 		}
 	}
-	// Apply callbacks saw entries in order on every node. Delivery is
-	// asynchronous (applyLoop runs behind the commit index), so wait
-	// for it rather than sampling once.
-	applyDeadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(applyDeadline) {
-		g.applyMu.Lock()
-		ok := true
-		for i := range g.nodes {
-			if len(g.applied[i]) < 10 {
-				ok = false
-			}
-		}
-		g.applyMu.Unlock()
-		if ok {
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	g.applyMu.Lock()
-	defer g.applyMu.Unlock()
-	for i := range g.nodes {
-		got := g.applied[i]
-		if len(got) < 10 {
-			t.Errorf("node %d applied %d entries", i, len(got))
+	// Every node holds the committed entries in proposal order.
+	for i, n := range g.nodes {
+		got := n.Entries(0, 10)
+		if len(got) != 10 {
+			t.Errorf("node %d holds %d of the first 10 entries", i, len(got))
 			continue
 		}
-		for j, e := range got[:10] {
+		for j, e := range got {
 			if e.Index != uint64(j+1) || string(e.Data) != fmt.Sprintf("e%d", j) {
-				t.Errorf("node %d applied[%d] = %+v", i, j, e)
+				t.Errorf("node %d entry[%d] = %+v", i, j, e)
 			}
 		}
 	}

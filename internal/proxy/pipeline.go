@@ -690,7 +690,7 @@ func (p *Proxy) commitSinglePartition(ctx context.Context, t *Tx, ws *core.Write
 		w = &ownWait{tx: t.inner, ws: ws, ch: make(chan ownDone, 1)}
 		ms.waiters[key] = w
 		ms.asm.OfferEntry(g, resp.CommitVersion, certifier.Entry{
-			Kind: core.KindData, Origin: p.cfg.ReplicaID, Start: t.startVec[g], WS: ws,
+			Kind: core.KindData, Origin: p.cfg.ReplicaID, WS: ws,
 		})
 	}
 	ms.offerLocked(g, resp.Remote)
